@@ -16,6 +16,8 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    BOS_ID,
+    EOS_ID,
     AmbiguitySelectionConfig,
     MatrixScorer,
     Vocabulary,
@@ -30,6 +32,7 @@ from .corpus import (
     krippendorff_alpha,
     load_similarity_matrix,
     load_video_features,
+    pad_rows,
     parse_corpus,
     parse_vote_file,
     save_video_features,
@@ -403,13 +406,7 @@ def cmd_train(args):
 
 
 def _decode_inputs(records, src_vocab, features):
-    src_rows = [src_vocab.encode(r.source_text) for r in records]
-    width = max(len(row) for row in src_rows)
-    src = np.zeros((len(src_rows), width), dtype=np.int64)
-    mask = np.zeros((len(src_rows), width), dtype=bool)
-    for i, row in enumerate(src_rows):
-        src[i, : len(row)] = row
-        mask[i, : len(row)] = True
+    src, mask = pad_rows([src_vocab.encode(r.source_text) for r in records])
     feats = VideoFeatureBatch(np.stack([features[r.video_id] for r in records]))
     return src, mask, feats
 
@@ -466,25 +463,12 @@ def cmd_attn_dump(args):
     src_vocab, tgt_vocab, cfg, params, features = _load_model(args, records)
     write_manifest(args.out, args, [args.corpus, args.checkpoint, args.model_config,
                                     args.src_vocab, args.tgt_vocab])
-    from .corpus import BOS_ID, EOS_ID, PAD_ID
-
-    src_rows = [src_vocab.encode(r.source_text) for r in records]
-    tgt_rows = [[BOS_ID] + tgt_vocab.encode(r.target_text) + [EOS_ID] for r in records]
-    s = max(len(row) for row in src_rows)
-    t = max(len(row) for row in tgt_rows)
-    b = len(records)
-    src = np.full((b, s), PAD_ID, dtype=np.int64)
-    src_mask = np.zeros((b, s), dtype=bool)
-    tgt = np.full((b, t), PAD_ID, dtype=np.int64)
-    tgt_mask = np.zeros((b, t), dtype=bool)
-    for i, (srow, trow) in enumerate(zip(src_rows, tgt_rows)):
-        src[i, : len(srow)] = srow
-        src_mask[i, : len(srow)] = True
-        tgt[i, : len(trow)] = trow
-        tgt_mask[i, : len(trow)] = True
+    src, src_mask, feats = _decode_inputs(records, src_vocab, features)
+    tgt, tgt_mask = pad_rows(
+        [[BOS_ID] + tgt_vocab.encode(r.target_text) + [EOS_ID] for r in records]
+    )
     batch = TextBatch(src=src, src_mask=src_mask, tgt=tgt, tgt_mask=tgt_mask,
-                      flags=np.zeros(b, dtype=bool))
-    feats = VideoFeatureBatch(np.stack([features[r.video_id] for r in records]))
+                      flags=np.zeros(len(records), dtype=bool))
     export_attention(params, cfg, batch, feats, src_vocab, args.out)
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import read_exact
+
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
 
@@ -149,6 +151,21 @@ class Vocabulary:
         if tokens[:4] != list(RESERVED_TOKENS):
             raise ValueError(f"{path}: vocabulary must start with {RESERVED_TOKENS}")
         return cls(tokens)
+
+
+def pad_rows(rows):
+    """Right-pad token-id rows with PAD_ID to the longest row.
+
+    Returns (ids, mask): an int64 (B, W) matrix and a bool (B, W) mask that
+    is True on real tokens.
+    """
+    width = max(len(row) for row in rows)
+    ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+        mask[i, : len(row)] = True
+    return ids, mask
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +587,9 @@ def load_video_features(path):
     with open(path, "rb") as f:
         if f.read(4) != _FEATURE_MAGIC:
             raise CorpusParseError(f"{path}: bad magic, not a video feature file")
-        frames, dim = struct.unpack("<II", f.read(8))
-        raw = f.read(4 * frames * dim)
-        if len(raw) != 4 * frames * dim:
-            raise CorpusParseError(f"{path}: truncated feature payload")
+        header = read_exact(f, 8, path, CorpusParseError, "feature header")
+        frames, dim = struct.unpack("<II", header)
+        raw = read_exact(f, 4 * frames * dim, path, CorpusParseError, "feature payload")
+        if f.peek(1):
+            raise CorpusParseError(f"{path}: trailing bytes after the {frames}x{dim} feature payload")
     return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(frames, dim)

@@ -275,14 +275,21 @@ def _heads_merge(x):
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, s, h * dh))
 
 
-def _attention_block(x_q, x_kv, p, prefix, heads, blocked=None):
+def _project_kv(x_kv, p, prefix, heads):
+    """Keys and values of one attention sublayer, each (B, heads, S, d_head)."""
+    k = _heads_split(T.add(T.matmul(x_kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]), heads)
+    v = _heads_split(T.add(T.matmul(x_kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]), heads)
+    return k, v
+
+
+def _attention_block(x_q, x_kv, p, prefix, heads, blocked=None, kv=None):
     """Multi-head attention sublayer body. ``blocked`` is True where a
-    query may not look at a key."""
+    query may not look at a key. Keys and values are projected from
+    ``x_kv`` unless ``kv`` already holds them."""
     d = x_q.data.shape[-1]
     d_head = d // heads
     q = _heads_split(T.add(T.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]), heads)
-    k = _heads_split(T.add(T.matmul(x_kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]), heads)
-    v = _heads_split(T.add(T.matmul(x_kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]), heads)
+    k, v = kv if kv is not None else _project_kv(x_kv, p, prefix, heads)
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_head))
     if blocked is not None:
         scores = T.masked_fill(scores, blocked, _NEG_FILL)
@@ -291,12 +298,13 @@ def _attention_block(x_q, x_kv, p, prefix, heads, blocked=None):
     return T.add(T.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
-def _embed(table, ids, d_model, limit, side):
+def _embed(table, ids, d_model, limit, side, offset=0):
+    """Scaled embeddings plus the position table; column j sits at position offset + j."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= limit):
         raise VocabularyError(f"{side} token id out of range [0, {limit})")
     scaled = T.scale(T.embedding(table, ids), math.sqrt(d_model))
-    return T.add(scaled, Tensor(sinusoidal_positions(ids.shape[1], d_model)))
+    return T.add(scaled, Tensor(sinusoidal_positions(offset + ids.shape[1], d_model)[offset:]))
 
 
 def encode_text(batch, p, cfg, training=False, rng=None):
@@ -341,22 +349,86 @@ def gated_fusion(h_text, h_attn, p):
     return fused, gate
 
 
-def decode(h_out, tgt_input, tgt_input_mask, src_mask, p, cfg, training=False, rng=None):
-    """Transformer decoder; cross-attention keys/values are the fused output."""
-    x = _embed(p["target_embedding"], tgt_input, cfg.d_model, cfg.tgt_vocab_size, "target")
+class DecoderCache:
+    """Keys and values for incremental decoding, one row per hypothesis.
+
+    ``cross`` holds each decoder layer's cross-attention keys and values,
+    projected once from the encoder output, one row per source; ``source``
+    maps each hypothesis row to its source row. ``keys`` and ``values``
+    hold each layer's self-attention keys and values, (rows, heads,
+    capacity, d_head), of which the first ``length`` positions are decoded.
+    ``reorder`` keeps and permutes hypothesis rows, so a beam search can
+    follow each kept hypothesis to its parent.
+    """
+
+    def __init__(self, h_out, src_mask, p, cfg, capacity):
+        self.cross = [
+            tuple(t.data for t in _project_kv(h_out, p, f"decoder.{i}.cross_attn", cfg.heads))
+            for i in range(cfg.decoder_layers)
+        ]
+        self.src_mask = src_mask
+        self.source = np.arange(src_mask.shape[0])
+        shape = (src_mask.shape[0], cfg.heads, capacity, cfg.d_model // cfg.heads)
+        self.keys = [np.empty(shape) for _ in range(cfg.decoder_layers)]
+        self.values = [np.empty(shape) for _ in range(cfg.decoder_layers)]
+        self.length = 0
+
+    def extend(self, layer, kv):
+        """Store one layer's keys and values of the new position; return all so far."""
+        t = self.length
+        if t == self.keys[layer].shape[2]:
+            raise T.ShapeError(f"decoder cache is full at {t} positions")
+        for past, new in zip((self.keys, self.values), kv):
+            past[layer][:, :, t:t + 1] = new.data
+        return Tensor(self.keys[layer][:, :, : t + 1]), Tensor(self.values[layer][:, :, : t + 1])
+
+    def cross_kv(self, layer):
+        k, v = self.cross[layer]
+        return Tensor(k[self.source]), Tensor(v[self.source])
+
+    def reorder(self, rows):
+        """Row r becomes old row rows[r]. One array at a time, so the
+        gather's transient copy is one layer's keys or values."""
+        self.source = self.source[rows]
+        for past in (self.keys, self.values):
+            for i in range(len(past)):
+                past[i] = past[i][rows]
+
+
+def decode(h_out, tgt_input, tgt_input_mask, src_mask, p, cfg, training=False, rng=None,
+           cache=None):
+    """Transformer decoder; cross-attention keys/values are the fused output.
+
+    With a ``DecoderCache``, ``tgt_input`` is (rows, 1): each row's newest
+    token, at position ``cache.length``. Self-attention reads the earlier
+    positions from the cache and adds this one to it; cross-attention reads
+    the cache's projected encoder output, so ``h_out``, ``tgt_input_mask``
+    and ``src_mask`` are not used. The logits cover the new position only.
+    """
+    offset = 0 if cache is None else cache.length
+    x = _embed(p["target_embedding"], tgt_input, cfg.d_model, cfg.tgt_vocab_size, "target", offset)
     x = _maybe_dropout(x, cfg.dropout, training, rng)
-    t = tgt_input.shape[1]
-    causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-    self_blocked = causal[None, None, :, :] | ~tgt_input_mask[:, None, None, :]
-    cross_blocked = ~src_mask[:, None, None, :]
+    if cache is None:
+        t = tgt_input.shape[1]
+        causal = np.triu(np.ones((t, t), dtype=bool), k=1)
+        self_blocked = causal[None, None, :, :] | ~tgt_input_mask[:, None, None, :]
+        cross_blocked = ~src_mask[:, None, None, :]
+    elif tgt_input.shape[1] != 1:
+        raise T.ShapeError(f"cached decoding takes one new position per row, got {tgt_input.shape}")
+    else:
+        self_blocked, cross_blocked = None, ~cache.src_mask[cache.source][:, None, None, :]
     for i in range(cfg.decoder_layers):
         prefix = f"decoder.{i}"
-        attn = _attention_block(x, x, p, f"{prefix}.self_attn", cfg.heads, self_blocked)
+        kv = None if cache is None else cache.extend(i, _project_kv(x, p, f"{prefix}.self_attn", cfg.heads))
+        attn = _attention_block(x, x, p, f"{prefix}.self_attn", cfg.heads, self_blocked, kv)
         x = _layer_norm_affine(T.add(x, _maybe_dropout(attn, cfg.dropout, training, rng)), p, f"{prefix}.norm1")
-        cross = _attention_block(x, h_out, p, f"{prefix}.cross_attn", cfg.heads, cross_blocked)
+        kv = None if cache is None else cache.cross_kv(i)
+        cross = _attention_block(x, h_out, p, f"{prefix}.cross_attn", cfg.heads, cross_blocked, kv)
         x = _layer_norm_affine(T.add(x, _maybe_dropout(cross, cfg.dropout, training, rng)), p, f"{prefix}.norm2")
         ffn = _ffn_block(x, p, prefix, cfg, training, rng)
         x = _layer_norm_affine(T.add(x, ffn), p, f"{prefix}.norm3")
+    if cache is not None:
+        cache.length += 1
     return T.matmul(x, p["output_projection"])
 
 

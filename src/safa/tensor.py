@@ -5,6 +5,9 @@ Tape is active) records enough to replay the forward pass bit-for-bit and
 to run backward once. No fusion, no GPU: values are plain numpy arrays.
 """
 
+import math
+import os
+import stat
 import struct
 import threading
 
@@ -669,6 +672,7 @@ def check_gradients(fn, params, epsilon=1e-4):
 
 _CKPT_MAGIC = b"SAFA"
 _CKPT_VERSION = 1
+_STREAM_CHUNK = 1 << 20  # bytes per read when the input is not a regular file
 
 
 def save_checkpoint(path, named_arrays):
@@ -690,26 +694,51 @@ def save_checkpoint(path, named_arrays):
             f.write(arr.tobytes(order="C"))
 
 
+def read_exact(f, size, path, error, what):
+    """Read exactly ``size`` bytes of binary file ``f``, or raise ``error`` naming ``path``.
+
+    ``size`` is a Python int, so a corrupt header cannot overflow the size
+    arithmetic. For a regular file it is checked against the bytes left
+    before anything is read; a pipe or device is read in bounded chunks, so
+    an absurd size fails at end of input instead of allocating it up front.
+    """
+    info = os.fstat(f.fileno())
+    if stat.S_ISREG(info.st_mode):
+        left = info.st_size - f.tell()
+        if size > left:
+            raise error(f"{path}: truncated {what}: needs {size} bytes, {left} left")
+        return f.read(size)
+    chunks, got = [], 0
+    while got < size:
+        chunk = f.read(min(size - got, _STREAM_CHUNK))
+        if not chunk:
+            raise error(f"{path}: truncated {what}: needs {size} bytes, got {got}")
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
 def load_checkpoint(path):
     """Read a checkpoint back into an ordered dict of float64 arrays."""
     out = {}
     with open(path, "rb") as f:
+
+        def take(size, what):
+            return read_exact(f, size, path, CheckpointError, what)
+
         if f.read(4) != _CKPT_MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a parameter checkpoint")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", take(4, "header"))
         if version != _CKPT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        while True:
-            head = f.read(2)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<H", head)
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", f.read(1))
-            dims = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
-            count = int(np.prod(dims)) if rank else 1
-            raw = f.read(8 * count)
-            if len(raw) != 8 * count:
-                raise CheckpointError(f"{path}: truncated values for parameter {name!r}")
+        while f.peek(1):
+            (name_len,) = struct.unpack("<H", take(2, "entry header"))
+            try:
+                name = take(name_len, "parameter name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
+            (rank,) = struct.unpack("<B", take(1, f"rank of parameter {name!r}"))
+            dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"shape of parameter {name!r}"))
+            raw = take(8 * math.prod(dims), f"values for parameter {name!r}")
             out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     return out

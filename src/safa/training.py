@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, PAD_ID
+from .corpus import BOS_ID, EOS_ID, pad_rows
 from .model import TextBatch, VideoFeatureBatch, forward_full
 from .tensor import Tape
 
@@ -133,20 +133,9 @@ def make_batches(records, src_vocab, tgt_vocab, tokens_per_batch, seed=0, flags_
 
     batches = []
     for group in groups:
-        b = len(group)
-        s = max(len(row[2]) for row in group)
-        t = max(len(row[3]) for row in group)
-        src = np.full((b, s), PAD_ID, dtype=np.int64)
-        tgt = np.full((b, t), PAD_ID, dtype=np.int64)
-        src_mask = np.zeros((b, s), dtype=bool)
-        tgt_mask = np.zeros((b, t), dtype=bool)
-        flags = np.zeros(b, dtype=bool)
-        for i, (_, rid, src_ids, tgt_ids, _vid) in enumerate(group):
-            src[i, : len(src_ids)] = src_ids
-            src_mask[i, : len(src_ids)] = True
-            tgt[i, : len(tgt_ids)] = tgt_ids
-            tgt_mask[i, : len(tgt_ids)] = True
-            flags[i] = flags_by_id.get(rid, False)
+        src, src_mask = pad_rows([row[2] for row in group])
+        tgt, tgt_mask = pad_rows([row[3] for row in group])
+        flags = np.array([flags_by_id.get(row[1], False) for row in group], dtype=bool)
         batches.append(
             TrainingBatch(
                 text=TextBatch(src=src, src_mask=src_mask, tgt=tgt, tgt_mask=tgt_mask, flags=flags),

@@ -20,6 +20,7 @@ from safa.corpus import (
     flag_ambiguous_samples,
     krippendorff_alpha,
     normalize_text,
+    pad_rows,
     VoteRecord,
     aggregate_votes,
 )
@@ -128,13 +129,7 @@ def test_criterion_02_overfit_sanity():
         total_tokens += int(counts.sum())
     per_token = total_nll / total_tokens
 
-    src_rows = [src_vocab.encode(r.source_text) for r in records]
-    width = max(len(row) for row in src_rows)
-    src = np.zeros((len(records), width), dtype=np.int64)
-    mask = np.zeros((len(records), width), dtype=bool)
-    for i, row in enumerate(src_rows):
-        src[i, : len(row)] = row
-        mask[i, : len(row)] = True
+    src, mask = pad_rows([src_vocab.encode(r.source_text) for r in records])
     from safa.model import VideoFeatureBatch
 
     feats = VideoFeatureBatch(np.stack([features[r.id] for r in records]))

@@ -226,6 +226,15 @@ def test_synth_train_decode_attn_dump(tmp_path, capsys):
         for weights in row["weights"]:
             assert abs(sum(weights) - 1.0) < 1e-6
 
+    # a checkpoint cut inside its header is an input error (exit 1) naming the file
+    capsys.readouterr()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:9])
+    common[common.index(ckpt)] = cut
+    assert _run("decode", "--corpus", synth_dir / "test.jsonl", *common,
+                "--out", tmp_path / "cut.txt") == 1
+    assert str(cut) in capsys.readouterr().err
+
 
 def test_grad_check_command(capsys):
     assert _run("grad-check", "--seed", 1, "--d-model", 8, "--frames", 4) == 0

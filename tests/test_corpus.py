@@ -1,4 +1,7 @@
 import itertools
+import os
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -549,3 +552,42 @@ def test_feature_file_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 8)
     with pytest.raises(CorpusParseError, match="magic"):
         load_video_features(path)
+
+
+def test_feature_file_truncated_header_names_file(tmp_path):
+    path = tmp_path / "short.evaf"
+    path.write_bytes(b"EVAF\x01\x00")
+    with pytest.raises(CorpusParseError, match="truncated feature header") as exc:
+        load_video_features(path)
+    assert str(path) in str(exc.value)
+
+
+def test_feature_file_absurd_dims_names_file(tmp_path):
+    # (2**32 - 1)**2 float32 values: the size check must refuse before reading
+    path = tmp_path / "huge.evaf"
+    path.write_bytes(b"EVAF" + struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(100))
+    with pytest.raises(CorpusParseError, match="truncated feature payload") as exc:
+        load_video_features(path)
+    assert str(path) in str(exc.value)
+
+
+def test_feature_file_trailing_bytes_names_file(tmp_path):
+    path = tmp_path / "long.evaf"
+    save_video_features(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CorpusParseError, match="trailing bytes") as exc:
+        load_video_features(path)
+    assert str(path) in str(exc.value)
+
+
+def test_feature_file_loads_from_pipe(tmp_path):
+    path = tmp_path / "v.evaf"
+    save_video_features(path, np.arange(6.0).reshape(2, 3))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        np.testing.assert_array_equal(load_video_features(fifo), np.arange(6.0).reshape(2, 3))
+    finally:
+        writer.join(timeout=10)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from safa.corpus import SubtitleRecord, build_vocabulary
+from safa.corpus import BOS_ID, EOS_ID, SubtitleRecord, build_vocabulary, pad_rows
 from safa.evaluation import (
+    DECODE_GROUP,
     DecodeConfig,
+    _fuse_sources,
+    _offers,
     beam_decode,
     corpus_bleu,
     export_attention,
@@ -14,7 +17,8 @@ from safa.evaluation import (
     variant_config,
     write_results_table,
 )
-from safa.model import ModelConfig, ModelParameters, TextBatch, VideoFeatureBatch, forward_full
+from safa.model import ModelConfig, ModelParameters, TextBatch, VideoFeatureBatch, decode, forward_full
+from safa.tensor import Tensor
 from safa.training import Schedule, TrainConfig, make_batches, train
 
 
@@ -108,13 +112,7 @@ def _overfit_model(pairs, seed=0, steps=150, frames=3, feature_dim=2):
 
 
 def _decode_inputs(records, features, src_vocab):
-    src_rows = [src_vocab.encode(r.source_text) for r in records]
-    width = max(len(row) for row in src_rows)
-    src = np.zeros((len(src_rows), width), dtype=np.int64)
-    mask = np.zeros((len(src_rows), width), dtype=bool)
-    for i, row in enumerate(src_rows):
-        src[i, : len(row)] = row
-        mask[i, : len(row)] = True
+    src, mask = pad_rows([src_vocab.encode(r.source_text) for r in records])
     feats = VideoFeatureBatch(np.stack([features[r.id] for r in records]))
     return src, mask, feats
 
@@ -179,6 +177,109 @@ def test_beam_decode_deterministic():
     src, mask, feats = _decode_inputs(records, features, src_vocab)
     dc = DecodeConfig(beam_size=3, max_length=5)
     assert beam_decode(params, cfg, src, mask, feats, dc) == beam_decode(params, cfg, src, mask, feats, dc)
+
+
+def _reference_beam_search(params, cfg, src, src_mask, features, dc):
+    """Full-prefix beam search, the oracle for ``beam_decode``.
+
+    One sentence at a time, every beam re-decodes its whole prefix at every
+    step. Per step each beam offers its top ``beam_size`` tokens (stable
+    argsort, ties to the lower id); the offers are stable-sorted by
+    cumulative log-probability and taken, eos offers into ``finished``,
+    until ``beam_size`` beams live.
+    """
+    fused, _ = _fuse_sources(src, src_mask, features, params, cfg)
+    hypotheses = []
+    for i in range(src.shape[0]):
+        memory, mask = Tensor(fused.data[i][None]), src_mask[i][None]
+        beams = [([], 0.0)]  # (generated ids, cumulative logprob)
+        finished = []
+        for _step in range(dc.max_length):
+            candidates = []
+            for ids, logprob in beams:
+                prefix = np.array([[BOS_ID] + ids], dtype=np.int64)
+                logits = decode(memory, prefix, np.ones_like(prefix, dtype=bool), mask, params, cfg)
+                logp = logits.data[0, -1]
+                logp = logp - np.logaddexp.reduce(logp)
+                for token in np.argsort(-logp, kind="stable")[: dc.beam_size]:
+                    candidates.append((ids + [int(token)], logprob + float(logp[token])))
+            candidates.sort(key=lambda c: -c[1])
+            beams = []
+            for ids, logprob in candidates:
+                if ids[-1] == EOS_ID:
+                    finished.append((ids[:-1], logprob / len(ids) ** dc.length_penalty))
+                else:
+                    beams.append((ids, logprob))
+                if len(beams) >= dc.beam_size:
+                    break
+            if not beams:
+                break
+        for ids, logprob in beams:  # ran out of length without eos
+            finished.append((ids, logprob / max(len(ids), 1) ** dc.length_penalty))
+        finished.sort(key=lambda c: -c[1])
+        hypotheses.append(finished[0][0])
+    return hypotheses
+
+
+def _search_pairs():
+    """More pairs than one decode group, sources of 2-6 tokens; pair 3's
+    target is one token, every other target five."""
+    rng = np.random.default_rng(5)
+    pairs = []
+    for i in range(DECODE_GROUP + 2):
+        words = rng.choice([f"s{j}" for j in range(10)], size=int(rng.integers(1, 6)))
+        target = "t1" if i == 3 else " ".join(f"t{j}" for j in rng.integers(0, 8, size=5))
+        pairs.append((" ".join(words) + f" x{i}", target))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def half_trained():
+    """Briefly trained, so hypotheses end at many different steps."""
+    return _overfit_model(_search_pairs(), steps=40)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    return _overfit_model(_search_pairs(), steps=300)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 8, 10])
+def test_offers_follow_stable_argsort_with_ties(k):
+    # three-way ties at the top and one straddling the 5th best value; k=8 and
+    # k=10 take the whole row
+    logits = np.array([0.5, 2.0, 1.0, 2.0, 1.0, 1.0, -3.0, 2.0])
+    logp = logits - np.logaddexp.reduce(logits)
+    expected = [(int(t), float(logp[t])) for t in np.argsort(-logp, kind="stable")[:k]]
+    assert _offers(logits, k) == expected
+
+
+@pytest.mark.parametrize("length_penalty", [0.0, 1.0])
+@pytest.mark.parametrize("beam_size", [1, 3, 5])
+def test_beam_decode_matches_full_prefix_search(half_trained, beam_size, length_penalty):
+    params, cfg, records, features, src_vocab, _ = half_trained
+    src, mask, feats = _decode_inputs(records, features, src_vocab)
+    assert len(set(mask.sum(axis=1))) > 1  # mixed source lengths, so rows are padded
+    dc = DecodeConfig(beam_size=beam_size, max_length=6, length_penalty=length_penalty)
+    hyps = beam_decode(params, cfg, src, mask, feats, dc)
+    assert hyps == _reference_beam_search(params, cfg, src, mask, feats, dc)
+    assert len({len(h) for h in hyps}) > 1  # eos came at different steps
+
+
+def test_beam_decode_groups_equal_single_sentences(trained):
+    params, cfg, records, features, src_vocab, _ = trained
+    src, mask, feats = _decode_inputs(records, features, src_vocab)
+    assert len(records) > DECODE_GROUP
+    # sentence 3 emits eos at step 1 and leaves its group; the rest run to max_length
+    greedy = beam_decode(params, cfg, src, mask, feats, DecodeConfig(beam_size=1, max_length=4))
+    assert [len(h) for h in greedy] == [1 if i == 3 else 4 for i in range(len(records))]
+    for beam_size in (1, 3):
+        dc = DecodeConfig(beam_size=beam_size, max_length=4)
+        alone = [
+            beam_decode(params, cfg, *_decode_inputs([r], features, src_vocab), dc)[0]
+            for r in records
+        ]
+        assert beam_decode(params, cfg, src, mask, feats, dc) == alone
 
 
 # ---------------------------------------------------------------------------

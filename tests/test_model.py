@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from safa import tensor as T
 from safa.model import (
+    DecoderCache,
     DegenerateSampleError,
     ModelConfig,
     ModelParameters,
@@ -261,6 +262,34 @@ def test_decode_shape_and_causality():
     changed[0, -1] = (changed[0, -1] + 1) % cfg.tgt_vocab_size
     logits2 = decode(h_out, changed, batch.tgt_mask[:, :-1], batch.src_mask, p, cfg)
     np.testing.assert_array_equal(logits.data[:, :-1, :], logits2.data[:, :-1, :])
+
+
+def test_cached_decode_matches_full_prefix():
+    # a greedy rollout over 2 layers and padded sources; after step 2 the rows
+    # are kept and permuted as a beam search would, and the full-prefix side
+    # follows them
+    cfg = tiny_config(decoder_layers=2, d_model=8, d_ffn=16)
+    p = ModelParameters.build(cfg, seed=8)
+    rng = np.random.default_rng(8)
+    h_out = Tensor(rng.normal(size=(3, 4, cfg.d_model)))
+    src_mask = np.array([[True] * 4, [True, True, False, False], [True, True, True, False]])
+    steps = 6
+    cache = DecoderCache(h_out, src_mask, p, cfg, capacity=steps)
+    prefix = np.full((3, 1), 2, dtype=np.int64)
+    for step in range(steps):
+        cached = decode(None, prefix[:, -1:], None, None, p, cfg, cache=cache)
+        full = decode(h_out, prefix, np.ones(prefix.shape, dtype=bool), src_mask, p, cfg)
+        assert cached.data.shape == (prefix.shape[0], 1, cfg.tgt_vocab_size)
+        np.testing.assert_allclose(cached.data[:, 0], full.data[:, -1], rtol=0, atol=1e-10)
+        prefix = np.concatenate([prefix, full.data[:, -1:].argmax(axis=-1)], axis=1)
+        if step == 2:
+            rows = np.array([2, 0, 0, 1])
+            cache.reorder(rows)
+            h_out, src_mask, prefix = Tensor(h_out.data[rows]), src_mask[rows], prefix[rows]
+    with pytest.raises(T.ShapeError, match="full"):
+        decode(None, prefix[:, -1:], None, None, p, cfg, cache=cache)
+    with pytest.raises(T.ShapeError, match="one new position"):
+        decode(None, prefix[:, -2:], None, None, p, cfg, cache=cache)
 
 
 # ---------------------------------------------------------------------------

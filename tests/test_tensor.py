@@ -1,3 +1,7 @@
+import os
+import struct
+import threading
+
 import numpy as np
 import pytest
 
@@ -330,3 +334,65 @@ def test_checkpoint_truncation_detected(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(T.CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("size", [6, 9, 11])
+def test_checkpoint_truncated_header_names_file(tmp_path, size):
+    # 6: inside the version field; 9: inside an entry's name length; 11: inside its name
+    path = tmp_path / "p.safa"
+    save_checkpoint(path, {"w": np.ones((3, 3))})
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(T.CheckpointError, match="truncated") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+def test_checkpoint_dims_overflowing_int64_names_file(tmp_path):
+    # 2**32 * 2**32 values wrap to 0 in int64; the size check must see 2**67 bytes
+    path = tmp_path / "huge.safa"
+    path.write_bytes(
+        b"SAFA" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w" + struct.pack("<B", 2)
+        + struct.pack("<2Q", 2**32, 2**32) + bytes(16)
+    )
+    with pytest.raises(T.CheckpointError, match="truncated values") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+def test_checkpoint_name_not_utf8_names_file(tmp_path):
+    path = tmp_path / "p.safa"
+    path.write_bytes(b"SAFA" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"\xff")
+    with pytest.raises(T.CheckpointError, match="UTF-8") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+def _load_through_fifo(tmp_path, data, load):
+    # the writer fills the pipe buffer and closes, so the reader sees end of input
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return load(fifo)
+    finally:
+        writer.join(timeout=10)
+
+
+def test_checkpoint_loads_from_pipe(tmp_path):
+    path = tmp_path / "p.safa"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)})
+    loaded = _load_through_fifo(tmp_path, path.read_bytes(), load_checkpoint)
+    assert list(loaded) == ["w", "b"]
+    np.testing.assert_array_equal(loaded["w"], np.arange(6.0).reshape(2, 3))
+
+
+def test_checkpoint_pipe_with_absurd_dims_names_file(tmp_path):
+    # a pipe has no size to check against: the values are read in bounded chunks
+    data = (
+        b"SAFA" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w" + struct.pack("<B", 2)
+        + struct.pack("<2Q", 2**32, 2**32) + bytes(16)
+    )
+    with pytest.raises(T.CheckpointError, match="truncated values") as exc:
+        _load_through_fifo(tmp_path, data, load_checkpoint)
+    assert "pipe" in str(exc.value)
