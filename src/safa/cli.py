@@ -398,16 +398,17 @@ def cmd_train(args):
         src_vocab.save(out.with_suffix(out.suffix + ".src-vocab.txt"))
         tgt_vocab.save(out.with_suffix(out.suffix + ".tgt-vocab.txt"))
     save_metrics(args.metrics or out.with_suffix(out.suffix + ".metrics.jsonl"), result.metrics)
-    status = "diverged" if result.diverged else "ok"
-    print(f"{status} steps={result.steps} best_val_loss={result.best_val_loss:.6f}")
+    line = f"steps={result.steps} best_val_loss={result.best_val_loss:.6f}"
     if result.diverged:
+        print(f"diverged {line} reason={result.diverged_reason}")
         return 2
+    print(f"ok {line}")
     return 0
 
 
 def _decode_inputs(records, src_vocab, features):
     src, mask = pad_rows([src_vocab.encode(r.source_text) for r in records])
-    feats = VideoFeatureBatch(np.stack([features[r.video_id] for r in records]))
+    feats = VideoFeatureBatch.stack([r.video_id for r in records], features)
     return src, mask, feats
 
 

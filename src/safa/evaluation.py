@@ -380,7 +380,7 @@ def run_synthetic_experiment(exp, variants=None):
 
     def make_test_inputs(feats):
         src, mask = pad_rows([src_vocab.encode(r.source_text) for r in test_records])
-        return src, mask, VideoFeatureBatch(np.stack([feats[r.id] for r in test_records]))
+        return src, mask, VideoFeatureBatch.stack([r.id for r in test_records], feats)
 
     rows, trained = run_ablation_suite(
         cfg, train_batches, val_batches, test_records, features, tgt_vocab, tc,

@@ -112,6 +112,18 @@ class VideoFeatureBatch:
         if not np.all(np.isfinite(self.features)):
             raise ValueError("video features contain non-finite values")
 
+    @classmethod
+    def stack(cls, clip_ids, features):
+        """Stack ``features[id]`` over ``clip_ids``, naming the first clip whose (frames, dim) differs."""
+        clips = [features[clip_id] for clip_id in clip_ids]
+        for clip_id, clip in zip(clip_ids, clips):
+            if clip.shape != clips[0].shape:
+                raise ValueError(
+                    f"clip {clip_id!r} has (frames, dim) {clip.shape}, but clip {clip_ids[0]!r} "
+                    f"in the same batch has {clips[0].shape}"
+                )
+        return cls(np.stack(clips))
+
 
 @dataclass
 class ModelOutput:

@@ -119,7 +119,13 @@ class Tape:
         self.entries.append(_Entry(name, inputs, out, backward, forward))
 
     def backward(self, loss):
-        """Populate gradients of every requires_grad tensor reachable from loss."""
+        """Populate the gradients of the leaf tensors reachable from loss.
+
+        Leaves are the requires_grad tensors no recorded primitive produced
+        (parameters, inputs). A recorded output's gradient is released once
+        its own backward has consumed it, so the pass reuses that memory
+        instead of holding a gradient for every intermediate at once.
+        """
         if self._backward_done:
             raise TapeStateError("backward already ran on this tape; record a new pass")
         if loss.data.size != 1:
@@ -129,10 +135,12 @@ class Tape:
         for entry in reversed(self.entries):
             if entry.backward is not None and entry.out.grad is not None:
                 entry.backward()
-        # unreachable requires_grad tensors hold zeros, not None
+                entry.out.grad = None
+        # unreachable leaves hold zeros, not None
+        produced = {id(entry.out) for entry in self.entries}
         for entry in self.entries:
             for t in entry.inputs:
-                if t.requires_grad and t.grad is None:
+                if t.requires_grad and t.grad is None and id(t) not in produced:
                     t.grad = np.zeros_like(t.data)
 
     def replay(self):
@@ -163,13 +171,14 @@ def _finish(name, inputs, out_data, backward, forward):
 
 
 def _unbroadcast(grad, shape):
-    """Sum a broadcast gradient back down to the original shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+    """Sum a broadcast gradient back down to the original shape, in one reduction."""
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + axis for axis, size in enumerate(shape) if size == 1 and grad.shape[lead + axis] != 1
+    )
+    if not axes:
+        return grad
+    return grad.sum(axis=axes, keepdims=True).reshape(shape)
 
 
 def _as_tensor(x):
@@ -241,6 +250,13 @@ def scale(a, factor):
     return out
 
 
+def _matmul_data(a, b):
+    """``a @ b``; against a 2-D ``b`` the leading axes of ``a`` fold into one GEMM."""
+    if b.ndim == 2 and a.ndim > 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + (b.shape[-1],))
+    return np.matmul(a, b)
+
+
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -249,16 +265,21 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: contraction mismatch, axis -1 of {a.data.shape} vs axis -2 of {b.data.shape}"
         )
-    out_data = np.matmul(a.data, b.data)
+    out_data = _matmul_data(a.data, b.data)
 
     def backward():
         g = _as_output_grad(out)
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            ga = _matmul_data(g, np.swapaxes(b.data, -1, -2))
+            _accumulate(a, _unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            if b.data.ndim == 2:
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            _accumulate(b, gb)
 
-    out = _finish("matmul", (a, b), out_data, backward, lambda r: np.matmul(r(a), r(b)))
+    out = _finish("matmul", (a, b), out_data, backward, lambda r: _matmul_data(r(a), r(b)))
     return out
 
 

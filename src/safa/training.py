@@ -148,8 +148,7 @@ def make_batches(records, src_vocab, tgt_vocab, tokens_per_batch, seed=0, flags_
 
 
 def _feature_batch(batch, features):
-    stacked = np.stack([features[vid] for vid in batch.video_ids])
-    return VideoFeatureBatch(stacked)
+    return VideoFeatureBatch.stack(batch.video_ids, features)
 
 
 def evaluate_loss(params, cfg, batches, features):
@@ -169,6 +168,7 @@ class TrainResult:
     best_val_loss: float
     steps: int
     diverged: bool = False
+    diverged_reason: str = ""
 
 
 def train(params, cfg, train_batches, val_batches, features, train_config,
@@ -176,7 +176,9 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     """Forward/backward/Adam loop with per-epoch validation and early stopping.
 
     Returns the checkpoint with the best validation loss seen; on numeric
-    divergence the last good checkpoint comes back with ``diverged`` set.
+    divergence the last good checkpoint comes back with ``diverged`` set and
+    the error's text, which names the primitive or parameter, in
+    ``diverged_reason``.
     ``checkpoint_callback(step, params)`` fires every ``checkpoint_every``
     steps when that cadence is set.
     """
@@ -221,8 +223,9 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
                 if not math.isfinite(breakdown.total):
                     raise NonFiniteGradientError("training loss is not finite")
                 adam_step(params, state, lr, tc.clip_norm)
-            except ArithmeticError:  # non-finite values or gradients
-                return TrainResult(best, metrics, best_val, step, diverged=True)
+            except ArithmeticError as exc:  # non-finite values or gradients
+                return TrainResult(best, metrics, best_val, step, diverged=True,
+                                   diverged_reason=str(exc))
             if checkpoint_callback and tc.checkpoint_every and step % tc.checkpoint_every == 0:
                 checkpoint_callback(step, params)
             metrics.append(

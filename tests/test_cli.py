@@ -1,11 +1,12 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from safa import cli
-from safa.corpus import load_video_features, save_similarity_matrix
+from safa.corpus import load_video_features, save_similarity_matrix, save_video_features
 
 
 CORPUS = """\
@@ -234,6 +235,62 @@ def test_synth_train_decode_attn_dump(tmp_path, capsys):
     assert _run("decode", "--corpus", synth_dir / "test.jsonl", *common,
                 "--out", tmp_path / "cut.txt") == 1
     assert str(cut) in capsys.readouterr().err
+
+
+def test_decode_mixed_frame_counts_names_the_clip(tmp_path, capsys):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    ckpt = tmp_path / "model.ckpt"
+    assert _run(
+        "train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+        "--features", synth_dir / "features", "--out", ckpt, "--vocab-min-count", 1,
+        "--max-steps", 1, "--encoder-layers", 1, "--decoder-layers", 1, "--d-model", 8,
+        "--d-ffn", 16, "--heads", 2, "--seed", 3,
+    ) == 0
+    test_ids = [json.loads(line)["video_id"] for line in (synth_dir / "test.jsonl").read_text().splitlines()]
+    odd = test_ids[-1]
+    assert odd != test_ids[0]
+    save_video_features(synth_dir / "features" / f"{odd}.evaf", np.zeros((5, 4)))
+    capsys.readouterr()
+    code = _run(
+        "decode", "--corpus", synth_dir / "test.jsonl", "--features", synth_dir / "features",
+        "--checkpoint", ckpt, "--model-config", tmp_path / "model.ckpt.cfg",
+        "--src-vocab", tmp_path / "model.ckpt.src-vocab.txt",
+        "--tgt-vocab", tmp_path / "model.ckpt.tgt-vocab.txt", "--out", tmp_path / "hyps.txt",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert odd in err and "(5, 4)" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_train_divergence_prints_reason(tmp_path, monkeypatch, capsys):
+    from safa import training
+
+    real = training.forward_full
+
+    def non_finite_loss(*args, **kwargs):
+        output, breakdown = real(*args, **kwargs)
+        return output, replace(breakdown, total=float("nan"))
+
+    monkeypatch.setattr(training, "forward_full", non_finite_loss)
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    capsys.readouterr()
+    code = _run(
+        "train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+        "--features", synth_dir / "features", "--out", tmp_path / "model.ckpt",
+        "--vocab-min-count", 1, "--max-steps", 2, "--encoder-layers", 1, "--decoder-layers", 1,
+        "--d-model", 8, "--d-ffn", 16, "--heads", 2, "--seed", 3,
+    )
+    assert code == 2
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("diverged steps=1 ")
+    assert line.endswith("reason=training loss is not finite")
+    metrics = (tmp_path / "model.ckpt.metrics.jsonl").read_text()
+    assert metrics == ""
 
 
 def test_grad_check_command(capsys):

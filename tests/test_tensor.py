@@ -87,6 +87,18 @@ def test_unreachable_parameter_gets_zero_grad():
     np.testing.assert_array_equal(y.grad, [0.0])
 
 
+def test_backward_keeps_only_leaf_gradients():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        dead = T.scale(x, 3.0)
+        h = T.mul(x, x)
+        loss = T.reduce_sum(h)
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    # intermediate gradients are released once consumed; unreachable ones are never filled
+    assert h.grad is None and loss.grad is None and dead.grad is None
+
+
 def test_shape_error_names_primitive():
     with pytest.raises(ShapeError, match="matmul"):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -122,16 +134,28 @@ def test_replay_is_bit_identical():
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     mask = rng.random(size=(3, 2)) > 0.3
+    x3 = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w3 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    # at this size one folded GEMM and per-batch products round differently,
+    # so a replay closure that kept np.matmul would not reproduce the forward
+    x_wide = Tensor(rng.normal(size=(2, 3, 16)))
+    w_narrow = Tensor(rng.normal(size=(16, 3)))
+    q = Tensor(rng.normal(size=(2, 2, 3, 4)))
+    k = Tensor(rng.normal(size=(2, 2, 4, 3)))
     with Tape() as tape:
         h = T.matmul(x, w)
         h = T.dropout(h, 0.3, mask)
         h = T.softmax(h)
+        T.add(T.matmul(x3, w3), bias)  # folded weight product, broadcast bias
+        T.matmul(x_wide, w_narrow)
+        T.matmul(q, k)                 # batched product of two 4-D operands
         out = T.reduce_mean(h)
     recorded = [e.out.data.copy() for e in tape.entries]
     replayed = tape.replay()
     assert len(recorded) == len(replayed)
     for a, b in zip(recorded, replayed):
-        np.testing.assert_array_equal(a, b)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert out.data == tape.entries[-1].out.data
 
 
@@ -233,6 +257,62 @@ def test_primitive_gradients_match_central_differences(name):
         fn, params = _fd_case(name, rng)
         worst = max(worst, check_gradients(fn, params, epsilon=1e-4))
     assert worst < 1e-4, f"{name}: max relative error {worst}"
+
+
+# (primitive, left shape, right shape, left operand is a transposed view)
+_SHAPE_CASES = [
+    ("matmul", (2, 2, 3, 4), (2, 2, 4, 3), False),  # attention's batched products
+    ("matmul", (3, 4), (2, 4, 5), False),           # left gradient summed over the batch
+    ("matmul", (2, 4, 3), (4, 5), True),            # non-contiguous left operand
+    ("add", (2, 3), (1, 3), False),
+    ("add", (2, 3), (2, 1), False),
+    ("add", (2, 1, 3), (3,), False),
+    ("mul", (2, 3), (1, 3), False),
+    ("mul", (2, 3), (2, 1), False),
+    ("mul", (2, 1, 3), (3,), False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,shape_a,shape_b,transposed", _SHAPE_CASES,
+    ids=[f"{n}-{a}-{b}{'-transposed' if t else ''}" for n, a, b, t in _SHAPE_CASES],
+)
+def test_broadcast_and_batched_gradients_match_central_differences(name, shape_a, shape_b, transposed):
+    op = getattr(T, name)
+    key = f"{name}{shape_a}{shape_b}{transposed}"
+
+    def fn(p):
+        a = T.transpose(p["a"]) if transposed else p["a"]
+        out = op(a, p["b"])
+        return T.reduce_sum(T.mul(out, Tensor(rng_fixed(key, out.shape))))
+
+    worst = 0.0
+    for seed in range(100):
+        rng = np.random.default_rng(1000 + seed)
+        params = {
+            "a": Tensor(rng.normal(size=shape_a), requires_grad=True),
+            "b": Tensor(rng.normal(size=shape_b), requires_grad=True),
+        }
+        worst = max(worst, check_gradients(fn, params, epsilon=1e-4))
+    assert worst < 1e-4, f"{key}: max relative error {worst}"
+
+
+def test_matmul_constant_operand_keeps_no_grad():
+    rng = np.random.default_rng(5)
+    x, w, cotangent = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(2, 3, 5))
+
+    def grads(x_requires_grad, w_requires_grad):
+        a, b = Tensor(x, x_requires_grad), Tensor(w, w_requires_grad)
+        with Tape() as tape:
+            tape.backward(T.reduce_sum(T.mul(T.matmul(a, b), Tensor(cotangent))))
+        return a.grad, b.grad
+
+    ga, gb = grads(True, True)
+    const_x, only_w = grads(False, True)
+    only_x, const_w = grads(True, False)
+    assert const_x is None and const_w is None
+    np.testing.assert_array_equal(only_w, gb)
+    np.testing.assert_array_equal(only_x, ga)
 
 
 def test_check_gradients_square():

@@ -275,6 +275,7 @@ def test_train_divergence_returns_last_good():
     result = train(params, cfg, batches, batches[:1], features, tc)
     assert result.diverged
     assert result.steps == 1
+    assert result.diverged_reason == "matmul: non-finite values in output"
 
 
 def test_checkpoint_cadence_callback():
