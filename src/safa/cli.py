@@ -122,6 +122,29 @@ def _jsonl(path, rows):
             f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _write_bool_csv(path, header, rows):
+    """Write ``(key, flag)`` rows as ``key,true|false`` lines under a two-column header."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for key, flag in rows:
+            f.write(f"{key},{'true' if flag else 'false'}\n")
+
+
+def _read_bool_csv(path, header):
+    """Read a table written by ``_write_bool_csv`` into {key: flag}."""
+    table = {}
+    with open(path, encoding="utf-8") as f:
+        first = f.readline().strip()
+        if first != header:
+            raise ValueError(f"{path}:1: bad header {first!r}, expected {header!r}")
+        for line in f:
+            line = line.strip()
+            if line:
+                key, _, value = line.partition(",")
+                table[key] = value == "true"
+    return table
+
+
 # ---------------------------------------------------------------------------
 # pipeline subcommands
 # ---------------------------------------------------------------------------
@@ -193,11 +216,7 @@ def cmd_ambiguous(args):
 def cmd_votes(args):
     votes = parse_vote_file(args.input)
     write_manifest(args.out, args, [args.input])
-    decisions = aggregate_votes(votes)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("task_id,helpful\n")
-        for task_id, helpful in sorted(decisions.items()):
-            f.write(f"{task_id},{'true' if helpful else 'false'}\n")
+    _write_bool_csv(args.out, "task_id,helpful", sorted(aggregate_votes(votes).items()))
 
 
 def cmd_alpha(args):
@@ -212,23 +231,9 @@ def cmd_alpha(args):
         Path(args.out).write_text(f"{alpha:.6f}\n", encoding="utf-8")
 
 
-def _read_decisions(path):
-    decisions = {}
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "task_id,helpful":
-            raise ValueError(f"{path}:1: bad decisions header {header!r}")
-        for line in f:
-            line = line.strip()
-            if line:
-                task_id, _, value = line.partition(",")
-                decisions[task_id] = value == "true"
-    return decisions
-
-
 def cmd_splits(args):
     records, _ = parse_corpus(args.input, lenient=args.lenient)
-    helpful = _read_decisions(args.decisions)
+    helpful = _read_bool_csv(args.decisions, "task_id,helpful")
     write_manifest(args.out, args, [args.input, args.decisions])
     assignment = build_splits(records, helpful, seed=args.seed, evaluation_cap=args.eval_cap)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -248,10 +253,7 @@ def cmd_flags(args):
     records, _ = parse_corpus(args.input, lenient=args.lenient)
     write_manifest(args.out, args, [args.input])
     flags = flag_ambiguous_samples(records, collect_translation_sets(records))
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("id,flag\n")
-        for r in records:
-            f.write(f"{r.id},{'true' if flags[r.id] else 'false'}\n")
+    _write_bool_csv(args.out, "id,flag", [(r.id, flags[r.id]) for r in records])
 
 
 def cmd_context(args):
@@ -284,24 +286,7 @@ def cmd_synth(args):
         write_corpus(out_dir / f"{name}.jsonl", subset)
     for rid, feat in features.items():
         save_video_features(feature_dir / f"{rid}.evaf", feat)
-    with open(out_dir / "flags.csv", "w", encoding="utf-8") as f:
-        f.write("id,flag\n")
-        for r in records:
-            f.write(f"{r.id},{'true' if flags[r.id] else 'false'}\n")
-
-
-def _read_flags(path):
-    flags = {}
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "id,flag":
-            raise ValueError(f"{path}:1: bad flags header {header!r}")
-        for line in f:
-            line = line.strip()
-            if line:
-                rid, _, value = line.partition(",")
-                flags[rid] = value == "true"
-    return flags
+    _write_bool_csv(out_dir / "flags.csv", "id,flag", [(r.id, flags[r.id]) for r in records])
 
 
 _MODEL_OVERRIDES = (
@@ -355,7 +340,7 @@ def _load_vocabs(args, train_records):
 def cmd_train(args):
     train_records, _ = parse_corpus(args.train)
     val_records, _ = parse_corpus(args.val)
-    flags = _read_flags(args.flags) if args.flags else {}
+    flags = _read_bool_csv(args.flags, "id,flag") if args.flags else {}
     src_vocab, tgt_vocab, built = _load_vocabs(args, train_records)
     video_ids = sorted({r.video_id for r in train_records + val_records})
     features = _load_features_dir(args.features, video_ids)
@@ -418,6 +403,13 @@ def _load_model(args, records):
     cfg = ModelConfig.from_text(Path(args.model_config).read_text(encoding="utf-8"))
     params = ModelParameters.load(args.checkpoint, cfg)
     features = _load_features_dir(args.features, sorted({r.video_id for r in records}))
+    expected = (cfg.frames_per_clip, cfg.video_feature_dim)
+    for vid, clip in features.items():
+        if clip.shape != expected:
+            raise ValueError(
+                f"{args.model_config}: (frames_per_clip, video_feature_dim) is {expected}, "
+                f"but clip {vid!r} has (frames, dim) {clip.shape}"
+            )
     return src_vocab, tgt_vocab, cfg, params, features
 
 

@@ -203,19 +203,27 @@ def read_sentences(path):
 # Ablations
 # ---------------------------------------------------------------------------
 
+# variant -> (ModelConfig overrides, whether every video feature is zeroed)
 ABLATION_VARIANTS = {
-    "full": {},
-    "no_frame_loss": {"frame_loss_weight": 0.0},
-    "no_ambiguity_weight": {"ambiguity_weight": 1.0},
-    "baseline": {"frame_loss_weight": 0.0, "ambiguity_weight": 1.0},
-    "text_only": {"frame_loss_weight": 0.0, "ambiguity_weight": 1.0},  # video zeroed
+    "full": ({}, False),
+    "no_frame_loss": ({"frame_loss_weight": 0.0}, False),
+    "no_ambiguity_weight": ({"ambiguity_weight": 1.0}, False),
+    "baseline": ({"frame_loss_weight": 0.0, "ambiguity_weight": 1.0}, False),
+    "text_only": ({"frame_loss_weight": 0.0, "ambiguity_weight": 1.0}, True),
 }
 
 
 def variant_config(cfg, variant):
     if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}")
-    return replace(cfg, **ABLATION_VARIANTS[variant])
+    return replace(cfg, **ABLATION_VARIANTS[variant][0])
+
+
+def variant_features(variant, features):
+    """The clip features ``variant`` trains and decodes on: all zeros if it drops the video."""
+    if not ABLATION_VARIANTS[variant][1]:
+        return features
+    return {k: np.zeros_like(v) for k, v in features.items()}
 
 
 def run_ablation_suite(cfg, train_batches, val_batches, test_records, features,
@@ -224,9 +232,9 @@ def run_ablation_suite(cfg, train_batches, val_batches, test_records, features,
     """Train and score each variant from shared initial parameters.
 
     ``make_test_inputs`` supplies (src, src_mask, VideoFeatureBatch) for the
-    test records. For the text_only variant every video feature is zeroed in
-    both training and decoding. Returns ({variant, bleu, synthetic_accuracy}
-    rows, trained parameters per variant).
+    test records. A variant that drops the video (text_only) sees every
+    feature zeroed in both training and decoding. Returns ({variant, bleu,
+    synthetic_accuracy} rows, trained parameters per variant).
     """
     from .training import train
 
@@ -235,9 +243,7 @@ def run_ablation_suite(cfg, train_batches, val_batches, test_records, features,
     trained = {}
     for variant in variants:
         vcfg = variant_config(cfg, variant)
-        feats = features
-        if variant == "text_only":
-            feats = {k: np.zeros_like(v) for k, v in features.items()}
+        feats = variant_features(variant, features)
         params = ModelParameters.build(vcfg, seed=train_config.seed)
         result = train(params, vcfg, train_batches, val_batches, feats, train_config)
         trained[variant] = result.params
@@ -388,14 +394,12 @@ def run_synthetic_experiment(exp, variants=None):
         make_test_inputs=make_test_inputs,
     )
     central = {}
-    src, mask, test_feats = make_test_inputs(features)
     for variant, params in trained.items():
-        feats_v = test_feats
-        if variant == "text_only":
-            feats_v = VideoFeatureBatch(np.zeros_like(test_feats.features))
+        src, mask, feats_v = make_test_inputs(variant_features(variant, features))
         central[variant] = mean_central_attention(
             params, variant_config(cfg, variant), src, mask, feats_v
         )
+    src, mask, test_feats = make_test_inputs(features)
     details = {
         "config": cfg,
         "trained": trained,

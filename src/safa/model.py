@@ -240,10 +240,10 @@ class ModelParameters:
         tensors = {}
         for name, (_, shape) in expected.items():
             if name not in arrays:
-                raise T.CheckpointError(f"checkpoint missing parameter {name!r}")
+                raise T.CheckpointError(f"{path}: checkpoint missing parameter {name!r}")
             if arrays[name].shape != shape:
                 raise T.CheckpointError(
-                    f"checkpoint parameter {name!r} has shape {arrays[name].shape}, expected {shape}"
+                    f"{path}: checkpoint parameter {name!r} has shape {arrays[name].shape}, expected {shape}"
                 )
             tensors[name] = Tensor(arrays[name], requires_grad=True)
         return cls(tensors, config)

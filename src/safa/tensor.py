@@ -1,8 +1,8 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Every primitive validates shapes, refuses non-finite outputs, and (when a
-Tape is active) records enough to replay the forward pass bit-for-bit and
-to run backward once. No fusion, no GPU: values are plain numpy arrays.
+Tape is active) records one backward closure, run once by ``Tape.backward``.
+No fusion, no GPU: values are plain numpy arrays.
 """
 
 import math
@@ -67,24 +67,21 @@ def _accumulate(t, g):
 
 
 class _Entry:
-    __slots__ = ("name", "inputs", "out", "backward", "forward")
+    __slots__ = ("name", "inputs", "out", "backward")
 
-    def __init__(self, name, inputs, out, backward, forward):
+    def __init__(self, name, inputs, out, backward):
         self.name = name
         self.inputs = inputs
         self.out = out
         self.backward = backward
-        self.forward = forward
 
 
 class Tape:
     """Ordered record of primitive applications (a Wengert list).
 
     Entries are appended in execution order, so the list is already a
-    topological order; backward walks it once in reverse. ``replay``
-    re-executes every recorded forward and returns the recomputed outputs,
-    which must be bit-identical to the originals when the leaves are
-    untouched.
+    topological order; backward walks it once in reverse, calling each
+    entry's backward closure.
 
     The active-tape stack is thread-local: independent recordings may run
     on separate threads, but one tape never spans threads.
@@ -115,8 +112,8 @@ class Tape:
         stack = cls._stack()
         return stack[-1] if stack else None
 
-    def _append(self, name, inputs, out, backward, forward):
-        self.entries.append(_Entry(name, inputs, out, backward, forward))
+    def _append(self, name, inputs, out, backward):
+        self.entries.append(_Entry(name, inputs, out, backward))
 
     def backward(self, loss):
         """Populate the gradients of the leaf tensors reachable from loss.
@@ -143,22 +140,8 @@ class Tape:
                 if t.requires_grad and t.grad is None and id(t) not in produced:
                     t.grad = np.zeros_like(t.data)
 
-    def replay(self):
-        """Recompute every recorded output from current leaf data, in order."""
-        results = {}
 
-        def resolve(t):
-            return results.get(id(t), t.data)
-
-        out = []
-        for entry in self.entries:
-            data = entry.forward(resolve)
-            results[id(entry.out)] = data
-            out.append(data)
-        return out
-
-
-def _finish(name, inputs, out_data, backward, forward):
+def _finish(name, inputs, out_data, backward):
     """Shared tail of every primitive: finiteness check, wrap, record."""
     if not np.all(np.isfinite(out_data)):
         raise NumericError(f"{name}: non-finite values in output")
@@ -166,7 +149,7 @@ def _finish(name, inputs, out_data, backward, forward):
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = Tape.current()
     if tape is not None:
-        tape._append(name, inputs, out, backward if out.requires_grad else None, forward)
+        tape._append(name, inputs, out, backward if out.requires_grad else None)
     return out
 
 
@@ -198,11 +181,11 @@ def add(a, b):
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    out = _finish("add", (a, b), out_data, backward, lambda r: r(a) + r(b))
+    out = _finish("add", (a, b), out_data, backward)
     return out
 
 
@@ -214,11 +197,11 @@ def sub(a, b):
         raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(-g, b.data.shape))
 
-    out = _finish("sub", (a, b), out_data, backward, lambda r: r(a) - r(b))
+    out = _finish("sub", (a, b), out_data, backward)
     return out
 
 
@@ -230,11 +213,11 @@ def mul(a, b):
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out = _finish("mul", (a, b), out_data, backward, lambda r: r(a) * r(b))
+    out = _finish("mul", (a, b), out_data, backward)
     return out
 
 
@@ -244,9 +227,9 @@ def scale(a, factor):
     out_data = a.data * factor
 
     def backward():
-        _accumulate(a, _as_output_grad(out) * factor)
+        _accumulate(a, out.grad * factor)
 
-    out = _finish("scale", (a,), out_data, backward, lambda r: r(a) * factor)
+    out = _finish("scale", (a,), out_data, backward)
     return out
 
 
@@ -268,7 +251,7 @@ def matmul(a, b):
     out_data = _matmul_data(a.data, b.data)
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         if a.requires_grad:
             ga = _matmul_data(g, np.swapaxes(b.data, -1, -2))
             _accumulate(a, _unbroadcast(ga, a.data.shape))
@@ -279,7 +262,7 @@ def matmul(a, b):
                 gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
             _accumulate(b, gb)
 
-    out = _finish("matmul", (a, b), out_data, backward, lambda r: _matmul_data(r(a), r(b)))
+    out = _finish("matmul", (a, b), out_data, backward)
     return out
 
 
@@ -293,9 +276,9 @@ def transpose(a, axes=None):
     out_data = np.transpose(a.data, axes)
 
     def backward():
-        _accumulate(a, np.transpose(_as_output_grad(out), inverse))
+        _accumulate(a, np.transpose(out.grad, inverse))
 
-    out = _finish("transpose", (a,), out_data, backward, lambda r: np.transpose(r(a), axes))
+    out = _finish("transpose", (a,), out_data, backward)
     return out
 
 
@@ -306,46 +289,38 @@ def reshape(a, shape):
     orig = a.data.shape
 
     def backward():
-        _accumulate(a, _as_output_grad(out).reshape(orig))
+        _accumulate(a, out.grad.reshape(orig))
 
-    out = _finish("reshape", (a,), out_data, backward, lambda r: r(a).reshape(shape))
+    out = _finish("reshape", (a,), out_data, backward)
     return out
-
-
-def _softmax_data(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(a):
     """Softmax over the last axis."""
     a = _as_tensor(a)
-    out_data = _softmax_data(a.data)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         s = out.data
         _accumulate(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
-    out = _finish("softmax", (a,), out_data, backward, lambda r: _softmax_data(r(a)))
+    out = _finish("softmax", (a,), out_data, backward)
     return out
-
-
-def _log_softmax_data(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def log_softmax(a):
     a = _as_tensor(a)
-    out_data = _log_softmax_data(a.data)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         _accumulate(a, g - np.exp(out.data) * g.sum(axis=-1, keepdims=True))
 
-    out = _finish("log_softmax", (a,), out_data, backward, lambda r: _log_softmax_data(r(a)))
+    out = _finish("log_softmax", (a,), out_data, backward)
     return out
 
 
@@ -363,38 +338,30 @@ def log(a, floor=None):
         out_data = np.log(clamped)
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         if floor is None:
             _accumulate(a, g / a.data)
         else:
             _accumulate(a, np.where(a.data > floor, g / np.maximum(a.data, floor), 0.0))
 
-    def forward(r):
-        x = r(a)
-        return np.log(x if floor is None else np.maximum(x, float(floor)))
-
-    out = _finish("log", (a,), out_data, backward, forward)
+    out = _finish("log", (a,), out_data, backward)
     return out
-
-
-def _sigmoid_data(x):
-    pos = x >= 0
-    z = np.empty_like(x)
-    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    z[~pos] = e / (1.0 + e)
-    return z
 
 
 def sigmoid(a):
     a = _as_tensor(a)
-    out_data = _sigmoid_data(a.data)
+    x = a.data
+    pos = x >= 0
+    out_data = np.empty_like(x)
+    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out_data[~pos] = e / (1.0 + e)
 
     def backward():
         s = out.data
-        _accumulate(a, _as_output_grad(out) * s * (1.0 - s))
+        _accumulate(a, out.grad * s * (1.0 - s))
 
-    out = _finish("sigmoid", (a,), out_data, backward, lambda r: _sigmoid_data(r(a)))
+    out = _finish("sigmoid", (a,), out_data, backward)
     return out
 
 
@@ -403,39 +370,34 @@ def relu(a):
     out_data = np.maximum(a.data, 0.0)
 
     def backward():
-        _accumulate(a, _as_output_grad(out) * (a.data > 0))
+        _accumulate(a, out.grad * (a.data > 0))
 
-    out = _finish("relu", (a,), out_data, backward, lambda r: np.maximum(r(a), 0.0))
+    out = _finish("relu", (a,), out_data, backward)
     return out
 
 
 _LN_EPS = 1e-5
 
 
-def _layer_norm_data(x, eps):
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return centered * inv, inv
-
-
-def layer_norm(a, eps=_LN_EPS):
+def layer_norm(a):
     """Normalize the last axis to zero mean / unit variance (no affine)."""
     a = _as_tensor(a)
     if a.data.shape[-1] < 1:
         raise ShapeError("layer_norm: last axis is empty")
-    out_data, inv = _layer_norm_data(a.data, eps)
+    mean = a.data.mean(axis=-1, keepdims=True)
+    centered = a.data - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    out_data = centered * inv
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         xhat = out.data
-        n = a.data.shape[-1]
         gm = g.mean(axis=-1, keepdims=True)
         gxm = (g * xhat).mean(axis=-1, keepdims=True)
         _accumulate(a, inv * (g - gm - xhat * gxm))
 
-    out = _finish("layer_norm", (a,), out_data, backward, lambda r: _layer_norm_data(r(a), eps)[0])
+    out = _finish("layer_norm", (a,), out_data, backward)
     return out
 
 
@@ -452,12 +414,12 @@ def embedding(table, ids):
     out_data = table.data[ids]
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
         _accumulate(table, gt)
 
-    out = _finish("embedding", (table,), out_data, backward, lambda r: r(table)[ids])
+    out = _finish("embedding", (table,), out_data, backward)
     return out
 
 
@@ -475,16 +437,13 @@ def take_index(a, ids):
     out_data = np.take_along_axis(a.data, expanded, axis=-1)[..., 0]
 
     def backward():
-        g = _as_output_grad(out)
+        g = out.grad
         ga = np.zeros_like(a.data)
         # one index per row, so no collisions to accumulate
         np.put_along_axis(ga, expanded, g[..., None], axis=-1)
         _accumulate(a, ga)
 
-    out = _finish(
-        "take_index", (a,), out_data, backward,
-        lambda r: np.take_along_axis(r(a), expanded, axis=-1)[..., 0],
-    )
+    out = _finish("take_index", (a,), out_data, backward)
     return out
 
 
@@ -502,14 +461,11 @@ def concat(tensors, axis=-1):
     splits = np.cumsum(sizes)[:-1]
 
     def backward():
-        pieces = np.split(_as_output_grad(out), splits, axis=axis)
+        pieces = np.split(out.grad, splits, axis=axis)
         for t, piece in zip(tensors, pieces):
             _accumulate(t, piece)
 
-    out = _finish(
-        "concat", tuple(tensors), out_data, backward,
-        lambda r: np.concatenate([r(t) for t in tensors], axis=axis),
-    )
+    out = _finish("concat", tuple(tensors), out_data, backward)
     return out
 
 
@@ -531,17 +487,16 @@ def masked_fill(a, mask, value):
         )
 
     def backward():
-        _accumulate(a, np.where(mask, 0.0, _as_output_grad(out)))
+        _accumulate(a, np.where(mask, 0.0, out.grad))
 
-    out = _finish("masked_fill", (a,), out_data, backward, lambda r: np.where(mask, value, r(a)))
+    out = _finish("masked_fill", (a,), out_data, backward)
     return out
 
 
 def dropout(a, rate, mask):
     """Inverted dropout with a caller-supplied keep mask (True keeps).
 
-    rate 0 is the identity. The mask is stored with the recorded step so a
-    replay reuses the exact draw.
+    rate 0 is the identity. The backward closure scales by the same mask.
     """
     a = _as_tensor(a)
     rate = float(rate)
@@ -558,86 +513,39 @@ def dropout(a, rate, mask):
     out_data = a.data * mask / keep
 
     def backward():
-        _accumulate(a, _as_output_grad(out) * mask / keep)
+        _accumulate(a, out.grad * mask / keep)
 
-    out = _finish("dropout", (a,), out_data, backward, lambda r: r(a) * mask / keep)
+    out = _finish("dropout", (a,), out_data, backward)
     return out
 
 
-def reduce_sum(a, axis=None, keepdims=False):
+def reduce_sum(a, axis=None):
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
 
     def backward():
-        g = _as_output_grad(out)
-        if axis is not None and not keepdims:
+        g = out.grad
+        if axis is not None:
             g = np.expand_dims(g, axis=axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
-    out = _finish(
-        "reduce_sum", (a,), out_data, backward,
-        lambda r: r(a).sum(axis=axis, keepdims=keepdims),
-    )
+    out = _finish("reduce_sum", (a,), out_data, backward)
     return out
 
 
-def reduce_mean(a, axis=None, keepdims=False):
+def reduce_mean(a, axis=None):
     a = _as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        count = a.data.shape[axis]
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.data.size if axis is None else a.data.shape[axis]
+    out_data = a.data.mean(axis=axis)
 
     def backward():
-        g = _as_output_grad(out)
-        if axis is not None and not keepdims:
+        g = out.grad
+        if axis is not None:
             g = np.expand_dims(g, axis=axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
 
-    out = _finish(
-        "reduce_mean", (a,), out_data, backward,
-        lambda r: r(a).mean(axis=axis, keepdims=keepdims),
-    )
+    out = _finish("reduce_mean", (a,), out_data, backward)
     return out
-
-
-def _as_output_grad(out):
-    return out.grad if out.grad is not None else np.zeros_like(out.data)
-
-
-# Dispatch table: primitive name -> adapter over (inputs, attrs).
-PRIMITIVES = {
-    "add": lambda inputs, attrs: add(*inputs),
-    "sub": lambda inputs, attrs: sub(*inputs),
-    "mul": lambda inputs, attrs: mul(*inputs),
-    "scale": lambda inputs, attrs: scale(inputs[0], attrs["factor"]),
-    "matmul": lambda inputs, attrs: matmul(*inputs),
-    "transpose": lambda inputs, attrs: transpose(inputs[0], attrs.get("axes")),
-    "reshape": lambda inputs, attrs: reshape(inputs[0], attrs["shape"]),
-    "softmax": lambda inputs, attrs: softmax(inputs[0]),
-    "log_softmax": lambda inputs, attrs: log_softmax(inputs[0]),
-    "log": lambda inputs, attrs: log(inputs[0], attrs.get("floor")),
-    "sigmoid": lambda inputs, attrs: sigmoid(inputs[0]),
-    "relu": lambda inputs, attrs: relu(inputs[0]),
-    "layer_norm": lambda inputs, attrs: layer_norm(inputs[0], attrs.get("eps", _LN_EPS)),
-    "embedding": lambda inputs, attrs: embedding(inputs[0], attrs["ids"]),
-    "take_index": lambda inputs, attrs: take_index(inputs[0], attrs["ids"]),
-    "concat": lambda inputs, attrs: concat(inputs, attrs.get("axis", -1)),
-    "masked_fill": lambda inputs, attrs: masked_fill(inputs[0], attrs["mask"], attrs["value"]),
-    "dropout": lambda inputs, attrs: dropout(inputs[0], attrs["rate"], attrs.get("mask")),
-    "reduce_sum": lambda inputs, attrs: reduce_sum(inputs[0], attrs.get("axis"), attrs.get("keepdims", False)),
-    "reduce_mean": lambda inputs, attrs: reduce_mean(inputs[0], attrs.get("axis"), attrs.get("keepdims", False)),
-}
-
-
-def forward_primitive(name, inputs, attrs=None):
-    """Apply a primitive by name; records on the active tape like the direct call."""
-    if name not in PRIMITIVES:
-        raise ShapeError(f"unknown primitive {name!r}")
-    return PRIMITIVES[name](inputs, attrs or {})
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,8 @@ def test_synth_train_decode_attn_dump(tmp_path, capsys):
     assert str(cut) in capsys.readouterr().err
 
 
-def test_decode_mixed_frame_counts_names_the_clip(tmp_path, capsys):
+def _train_tiny_model(tmp_path):
+    """Synthesize 6-frame, 4-dim clips and train one step; returns (synth dir, decode args)."""
     synth_dir = tmp_path / "synth"
     assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
                 "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
@@ -248,20 +249,39 @@ def test_decode_mixed_frame_counts_names_the_clip(tmp_path, capsys):
         "--max-steps", 1, "--encoder-layers", 1, "--decoder-layers", 1, "--d-model", 8,
         "--d-ffn", 16, "--heads", 2, "--seed", 3,
     ) == 0
+    decode_args = [
+        "decode", "--corpus", synth_dir / "test.jsonl", "--features", synth_dir / "features",
+        "--checkpoint", ckpt, "--model-config", tmp_path / "model.ckpt.cfg",
+        "--src-vocab", tmp_path / "model.ckpt.src-vocab.txt",
+        "--tgt-vocab", tmp_path / "model.ckpt.tgt-vocab.txt", "--out", tmp_path / "hyps.txt",
+    ]
+    return synth_dir, decode_args
+
+
+def test_decode_mixed_frame_counts_names_the_clip(tmp_path, capsys):
+    synth_dir, decode_args = _train_tiny_model(tmp_path)
     test_ids = [json.loads(line)["video_id"] for line in (synth_dir / "test.jsonl").read_text().splitlines()]
     odd = test_ids[-1]
     assert odd != test_ids[0]
     save_video_features(synth_dir / "features" / f"{odd}.evaf", np.zeros((5, 4)))
     capsys.readouterr()
-    code = _run(
-        "decode", "--corpus", synth_dir / "test.jsonl", "--features", synth_dir / "features",
-        "--checkpoint", ckpt, "--model-config", tmp_path / "model.ckpt.cfg",
-        "--src-vocab", tmp_path / "model.ckpt.src-vocab.txt",
-        "--tgt-vocab", tmp_path / "model.ckpt.tgt-vocab.txt", "--out", tmp_path / "hyps.txt",
-    )
-    assert code == 1
+    assert _run(*decode_args) == 1
     err = capsys.readouterr().err
     assert odd in err and "(5, 4)" in err
+
+
+def test_decode_config_with_wrong_frames_per_clip_names_the_config(tmp_path, capsys):
+    _, decode_args = _train_tiny_model(tmp_path)
+    cfg_path = decode_args[decode_args.index("--model-config") + 1]
+    text = cfg_path.read_text(encoding="utf-8")
+    assert "frames_per_clip = 6\n" in text
+    wrong = tmp_path / "wrong.cfg"
+    wrong.write_text(text.replace("frames_per_clip = 6\n", "frames_per_clip = 7\n"), encoding="utf-8")
+    decode_args[decode_args.index(cfg_path)] = wrong
+    capsys.readouterr()
+    assert _run(*decode_args) == 1
+    err = capsys.readouterr().err
+    assert str(wrong) in err and "(6, 4)" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from safa import tensor as T
+from safa.corpus import CorpusParseError, load_video_features, save_video_features
 from safa.model import (
     DecoderCache,
     DegenerateSampleError,
@@ -113,6 +114,26 @@ def test_parameters_deterministic_and_round_trip(tmp_path):
     loaded = ModelParameters.load(path, cfg)
     for name, t in a.items():
         assert t.data.tobytes() == loaded[name].data.tobytes()
+
+
+def test_every_truncated_checkpoint_or_feature_file_is_named(tmp_path):
+    # a checkpoint cut at an entry boundary parses, then fails the config's shapes
+    cfg = tiny_config()
+    ckpt = tmp_path / "m.safa"
+    ModelParameters.build(cfg, seed=0).save(ckpt)
+    clip = tmp_path / "clip.evaf"
+    save_video_features(clip, np.ones((cfg.frames_per_clip, cfg.video_feature_dim)))
+    cut = tmp_path / "cut.bin"
+    for whole, load, error in (
+        (ckpt, lambda path: ModelParameters.load(path, cfg), T.CheckpointError),
+        (clip, load_video_features, CorpusParseError),
+    ):
+        data = whole.read_bytes()
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(error) as exc:
+                load(cut)
+            assert str(cut) in str(exc.value), f"{whole.name} cut to {size} bytes: {exc.value}"
 
 
 def test_parameter_shapes_cover_architecture():
