@@ -137,11 +137,14 @@ def _read_bool_csv(path, header):
         first = f.readline().strip()
         if first != header:
             raise ValueError(f"{path}:1: bad header {first!r}, expected {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             line = line.strip()
-            if line:
-                key, _, value = line.partition(",")
-                table[key] = value == "true"
+            if not line:
+                continue
+            key, comma, value = line.rpartition(",")
+            if not comma or value not in ("true", "false"):
+                raise ValueError(f"{path}:{lineno}: expected '<key>,true' or '<key>,false', got {line!r}")
+            table[key] = value == "true"
     return table
 
 

@@ -237,6 +237,9 @@ class ModelParameters:
     def load(cls, path, config):
         arrays = T.load_checkpoint(path)
         expected = parameter_shapes(config)
+        for name in arrays:
+            if name not in expected:
+                raise T.CheckpointError(f"{path}: checkpoint parameter {name!r} is not in the config")
         tensors = {}
         for name, (_, shape) in expected.items():
             if name not in arrays:
@@ -263,8 +266,6 @@ def sinusoidal_positions(length, d_model):
 # Architecture blocks
 # ---------------------------------------------------------------------------
 
-_NEG_FILL = -1e9
-
 
 def _maybe_dropout(x, rate, training, rng):
     if not training or rate == 0.0:
@@ -273,24 +274,14 @@ def _maybe_dropout(x, rate, training, rng):
     return T.dropout(x, rate, mask)
 
 
-def _layer_norm_affine(x, p, prefix):
-    return T.add(T.mul(T.layer_norm(x), p[f"{prefix}.gain"]), p[f"{prefix}.bias"])
+def _layer_norm(x, p, prefix):
+    return T.layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"])
 
 
-def _heads_split(x, heads):
-    b, s, d = x.data.shape
-    return T.transpose(T.reshape(x, (b, s, heads, d // heads)), (0, 2, 1, 3))
-
-
-def _heads_merge(x):
-    b, h, s, dh = x.data.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, s, h * dh))
-
-
-def _project_kv(x_kv, p, prefix, heads):
-    """Keys and values of one attention sublayer, each (B, heads, S, d_head)."""
-    k = _heads_split(T.add(T.matmul(x_kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]), heads)
-    v = _heads_split(T.add(T.matmul(x_kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]), heads)
+def _project_kv(x_kv, p, prefix):
+    """Keys and values of one attention sublayer, each (B, S, d_model)."""
+    k = T.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    v = T.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
     return k, v
 
 
@@ -298,16 +289,9 @@ def _attention_block(x_q, x_kv, p, prefix, heads, blocked=None, kv=None):
     """Multi-head attention sublayer body. ``blocked`` is True where a
     query may not look at a key. Keys and values are projected from
     ``x_kv`` unless ``kv`` already holds them."""
-    d = x_q.data.shape[-1]
-    d_head = d // heads
-    q = _heads_split(T.add(T.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]), heads)
-    k, v = kv if kv is not None else _project_kv(x_kv, p, prefix, heads)
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_head))
-    if blocked is not None:
-        scores = T.masked_fill(scores, blocked, _NEG_FILL)
-    attn = T.softmax(scores)
-    mixed = _heads_merge(T.matmul(attn, v))
-    return T.add(T.matmul(mixed, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    q = T.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    k, v = kv if kv is not None else _project_kv(x_kv, p, prefix)
+    return T.linear(T.attention(q, k, v, heads, blocked), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _embed(table, ids, d_model, limit, side, offset=0):
@@ -323,13 +307,13 @@ def encode_text(batch, p, cfg, training=False, rng=None):
     """Transformer encoder over source ids -> (B, S, d_model)."""
     x = _embed(p["source_embedding"], batch.src, cfg.d_model, cfg.src_vocab_size, "source")
     x = _maybe_dropout(x, cfg.dropout, training, rng)
-    key_blocked = ~batch.src_mask[:, None, None, :]  # (B, 1, 1, S)
+    key_blocked = ~batch.src_mask[:, None, :]  # (B, 1, S)
     for i in range(cfg.encoder_layers):
         prefix = f"encoder.{i}"
         attn = _attention_block(x, x, p, f"{prefix}.self_attn", cfg.heads, key_blocked)
-        x = _layer_norm_affine(T.add(x, _maybe_dropout(attn, cfg.dropout, training, rng)), p, f"{prefix}.norm1")
+        x = _layer_norm(T.add(x, _maybe_dropout(attn, cfg.dropout, training, rng)), p, f"{prefix}.norm1")
         ffn = _ffn_block(x, p, prefix, cfg, training, rng)
-        x = _layer_norm_affine(T.add(x, ffn), p, f"{prefix}.norm2")
+        x = _layer_norm(T.add(x, ffn), p, f"{prefix}.norm2")
     return x
 
 
@@ -367,20 +351,20 @@ class DecoderCache:
     ``cross`` holds each decoder layer's cross-attention keys and values,
     projected once from the encoder output, one row per source; ``source``
     maps each hypothesis row to its source row. ``keys`` and ``values``
-    hold each layer's self-attention keys and values, (rows, heads,
-    capacity, d_head), of which the first ``length`` positions are decoded.
+    hold each layer's self-attention keys and values, (rows, capacity,
+    d_model), of which the first ``length`` positions are decoded.
     ``reorder`` keeps and permutes hypothesis rows, so a beam search can
     follow each kept hypothesis to its parent.
     """
 
     def __init__(self, h_out, src_mask, p, cfg, capacity):
         self.cross = [
-            tuple(t.data for t in _project_kv(h_out, p, f"decoder.{i}.cross_attn", cfg.heads))
+            tuple(t.data for t in _project_kv(h_out, p, f"decoder.{i}.cross_attn"))
             for i in range(cfg.decoder_layers)
         ]
         self.src_mask = src_mask
         self.source = np.arange(src_mask.shape[0])
-        shape = (src_mask.shape[0], cfg.heads, capacity, cfg.d_model // cfg.heads)
+        shape = (src_mask.shape[0], capacity, cfg.d_model)
         self.keys = [np.empty(shape) for _ in range(cfg.decoder_layers)]
         self.values = [np.empty(shape) for _ in range(cfg.decoder_layers)]
         self.length = 0
@@ -388,11 +372,11 @@ class DecoderCache:
     def extend(self, layer, kv):
         """Store one layer's keys and values of the new position; return all so far."""
         t = self.length
-        if t == self.keys[layer].shape[2]:
+        if t == self.keys[layer].shape[1]:
             raise T.ShapeError(f"decoder cache is full at {t} positions")
         for past, new in zip((self.keys, self.values), kv):
-            past[layer][:, :, t:t + 1] = new.data
-        return Tensor(self.keys[layer][:, :, : t + 1]), Tensor(self.values[layer][:, :, : t + 1])
+            past[layer][:, t:t + 1] = new.data
+        return Tensor(self.keys[layer][:, : t + 1]), Tensor(self.values[layer][:, : t + 1])
 
     def cross_kv(self, layer):
         k, v = self.cross[layer]
@@ -423,30 +407,30 @@ def decode(h_out, tgt_input, tgt_input_mask, src_mask, p, cfg, training=False, r
     if cache is None:
         t = tgt_input.shape[1]
         causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-        self_blocked = causal[None, None, :, :] | ~tgt_input_mask[:, None, None, :]
-        cross_blocked = ~src_mask[:, None, None, :]
+        self_blocked = causal[None, :, :] | ~tgt_input_mask[:, None, :]
+        cross_blocked = ~src_mask[:, None, :]
     elif tgt_input.shape[1] != 1:
         raise T.ShapeError(f"cached decoding takes one new position per row, got {tgt_input.shape}")
     else:
-        self_blocked, cross_blocked = None, ~cache.src_mask[cache.source][:, None, None, :]
+        self_blocked, cross_blocked = None, ~cache.src_mask[cache.source][:, None, :]
     for i in range(cfg.decoder_layers):
         prefix = f"decoder.{i}"
-        kv = None if cache is None else cache.extend(i, _project_kv(x, p, f"{prefix}.self_attn", cfg.heads))
+        kv = None if cache is None else cache.extend(i, _project_kv(x, p, f"{prefix}.self_attn"))
         attn = _attention_block(x, x, p, f"{prefix}.self_attn", cfg.heads, self_blocked, kv)
-        x = _layer_norm_affine(T.add(x, _maybe_dropout(attn, cfg.dropout, training, rng)), p, f"{prefix}.norm1")
+        x = _layer_norm(T.add(x, _maybe_dropout(attn, cfg.dropout, training, rng)), p, f"{prefix}.norm1")
         kv = None if cache is None else cache.cross_kv(i)
         cross = _attention_block(x, h_out, p, f"{prefix}.cross_attn", cfg.heads, cross_blocked, kv)
-        x = _layer_norm_affine(T.add(x, _maybe_dropout(cross, cfg.dropout, training, rng)), p, f"{prefix}.norm2")
+        x = _layer_norm(T.add(x, _maybe_dropout(cross, cfg.dropout, training, rng)), p, f"{prefix}.norm2")
         ffn = _ffn_block(x, p, prefix, cfg, training, rng)
-        x = _layer_norm_affine(T.add(x, ffn), p, f"{prefix}.norm3")
+        x = _layer_norm(T.add(x, ffn), p, f"{prefix}.norm3")
     if cache is not None:
         cache.length += 1
     return T.matmul(x, p["output_projection"])
 
 
 def _ffn_block(x, p, prefix, cfg, training, rng):
-    hidden = T.relu(T.add(T.matmul(x, p[f"{prefix}.ffn.w1"]), p[f"{prefix}.ffn.b1"]))
-    out = T.add(T.matmul(hidden, p[f"{prefix}.ffn.w2"]), p[f"{prefix}.ffn.b2"])
+    hidden = T.relu(T.linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
+    out = T.linear(hidden, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
     return _maybe_dropout(out, cfg.dropout, training, rng)
 
 

@@ -2,7 +2,9 @@
 
 Every primitive validates shapes, refuses non-finite outputs, and (when a
 Tape is active) records one backward closure, run once by ``Tape.backward``.
-No fusion, no GPU: values are plain numpy arrays.
+The model's layers are a few fused primitives (``linear``, ``attention``,
+the affine ``layer_norm``), so a forward records few tape entries. No GPU:
+values are plain numpy arrays.
 """
 
 import math
@@ -76,6 +78,14 @@ class _Entry:
         self.backward = backward
 
 
+class _ActiveTapes(threading.local):
+    def __init__(self):
+        self.tapes = []
+
+
+_active = _ActiveTapes()
+
+
 class Tape:
     """Ordered record of primitive applications (a Wengert list).
 
@@ -87,30 +97,22 @@ class Tape:
     on separate threads, but one tape never spans threads.
     """
 
-    _local = threading.local()
-
     def __init__(self):
         self.entries = []
         self._backward_done = False
 
-    @classmethod
-    def _stack(cls):
-        if not hasattr(cls._local, "stack"):
-            cls._local.stack = []
-        return cls._local.stack
-
     def __enter__(self):
-        Tape._stack().append(self)
+        _active.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        Tape._stack().pop()
+        _active.tapes.pop()
         return False
 
-    @classmethod
-    def current(cls):
-        stack = cls._stack()
-        return stack[-1] if stack else None
+    @staticmethod
+    def current():
+        tapes = _active.tapes
+        return tapes[-1] if tapes else None
 
     def _append(self, name, inputs, out, backward):
         self.entries.append(_Entry(name, inputs, out, backward))
@@ -142,14 +144,22 @@ class Tape:
 
 
 def _finish(name, inputs, out_data, backward):
-    """Shared tail of every primitive: finiteness check, wrap, record."""
-    if not np.all(np.isfinite(out_data)):
+    """Shared tail of every primitive: finiteness check, wrap, record.
+
+    Any NaN or Inf makes the sum of squares non-finite, so only then are the
+    elements tested one by one; a finite output whose squares overflow
+    passes there. ``np.vdot`` is one BLAS pass and, unlike ``sum``, does not
+    warn on overflow. It is handed the elements in memory order: on a
+    transposed view it would otherwise take a strided path 35x slower.
+    """
+    flat = out_data.ravel(order="K")
+    if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(out_data).all():
         raise NumericError(f"{name}: non-finite values in output")
     out = Tensor(out_data)
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = Tape.current()
-    if tape is not None:
-        tape._append(name, inputs, out, backward if out.requires_grad else None)
+    out.requires_grad = any([t.requires_grad for t in inputs])
+    tapes = _active.tapes
+    if tapes:
+        tapes[-1]._append(name, inputs, out, backward if out.requires_grad else None)
     return out
 
 
@@ -266,6 +276,36 @@ def matmul(a, b):
     return out
 
 
+def linear(x, w, b):
+    """``x @ w + b`` for a 2-D weight ``w`` and a bias ``b`` over its columns.
+
+    The leading axes of ``x`` fold into one GEMM, forward and for each
+    gradient; the bias gradient is one sum over the folded rows.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0] \
+            or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(
+            f"linear: input {x.data.shape}, weight {w.data.shape} and bias {b.data.shape} do not conform"
+        )
+    d_in, d_out = w.data.shape
+    x2 = x.data.reshape(-1, d_in)
+    out_data = (x2 @ w.data).reshape(x.data.shape[:-1] + (d_out,))
+    out_data += b.data
+
+    def backward():
+        g2 = out.grad.reshape(-1, d_out)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accumulate(w, x2.T @ g2)
+        if b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
+
+    out = _finish("linear", (x, w, b), out_data, backward)
+    return out
+
+
 def transpose(a, axes=None):
     """Permute axes; default swaps the last two."""
     a = _as_tensor(a)
@@ -282,19 +322,6 @@ def transpose(a, axes=None):
     return out
 
 
-def reshape(a, shape):
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    out_data = a.data.reshape(shape)
-    orig = a.data.shape
-
-    def backward():
-        _accumulate(a, out.grad.reshape(orig))
-
-    out = _finish("reshape", (a,), out_data, backward)
-    return out
-
-
 def softmax(a):
     """Softmax over the last axis."""
     a = _as_tensor(a)
@@ -308,6 +335,74 @@ def softmax(a):
         _accumulate(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
     out = _finish("softmax", (a,), out_data, backward)
+    return out
+
+
+_NEG_FILL = -1e9  # a blocked score; its softmax weight underflows to exactly 0
+
+
+def attention(q, k, v, heads, blocked=None):
+    """Multi-head scaled dot-product attention of (B, Sq, d) queries over (B, Sk, d) keys and values.
+
+    The last axis splits into ``heads`` heads of width d / heads. Each
+    head's scores ``q kᵀ / sqrt(d / heads)`` are softmaxed over the keys,
+    and the heads' mixes of ``v`` merge back into (B, Sq, d). ``blocked``
+    is True where a query may not look at a key; it broadcasts to
+    (B, Sq, Sk), is shared by every head, and sets those scores to -1e9.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape \
+            or k.data.shape[::2] != q.data.shape[::2]:
+        raise ShapeError(
+            f"attention: queries {q.data.shape}, keys {k.data.shape} and values {v.data.shape} "
+            "must be (B, Sq, d), (B, Sk, d), (B, Sk, d)"
+        )
+    b, sq, d = q.data.shape
+    sk = k.data.shape[1]
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    dh = d // heads
+    if blocked is not None:
+        try:
+            blocked = np.broadcast_to(np.asarray(blocked, dtype=bool), (b, sq, sk))[:, None]
+        except ValueError:
+            raise ShapeError(
+                f"attention: blocked shape {np.shape(blocked)} does not broadcast to {(b, sq, sk)}"
+            ) from None
+
+    def split(x, s):
+        return x.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x, s):
+        return x.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+    qh, kh, vh = split(q.data, sq), split(k.data, sk), split(v.data, sk)
+    factor = 1.0 / math.sqrt(dh)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * factor
+    if blocked is not None:
+        np.copyto(scores, _NEG_FILL, where=blocked)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out_data = merge(np.matmul(weights, vh), sq)
+
+    def backward():
+        gh = split(out.grad, sq)
+        if v.requires_grad:
+            _accumulate(v, merge(np.matmul(weights.swapaxes(-1, -2), gh), sk))
+        if q.requires_grad or k.requires_grad:
+            gw = np.matmul(gh, vh.swapaxes(-1, -2))
+            gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+            if blocked is not None:
+                # a blocked score is a constant; in a row that sees no key its weight is not 0
+                np.copyto(gs, 0.0, where=blocked)
+            gs *= factor
+            if q.requires_grad:
+                _accumulate(q, merge(np.matmul(gs, kh), sq))
+            if k.requires_grad:
+                _accumulate(k, merge(np.matmul(gs.swapaxes(-1, -2), qh), sk))
+
+    out = _finish("attention", (q, k, v), out_data, backward)
     return out
 
 
@@ -379,25 +474,37 @@ def relu(a):
 _LN_EPS = 1e-5
 
 
-def layer_norm(a):
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
-    a = _as_tensor(a)
-    if a.data.shape[-1] < 1:
+def layer_norm(a, gain, bias):
+    """Normalize the last axis to zero mean / unit variance, then ``* gain + bias``."""
+    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
+    d = a.data.shape[-1]
+    if d < 1:
         raise ShapeError("layer_norm: last axis is empty")
-    mean = a.data.mean(axis=-1, keepdims=True)
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(
+            f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} must both be ({d},)"
+        )
+    # sum / d is ndarray.mean's arithmetic without its per-call Python wrapper
+    mean = a.data.sum(axis=-1, keepdims=True) / d
     centered = a.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    out_data = centered * inv
+    xhat = centered * inv
+    out_data = xhat * gain.data + bias.data
 
     def backward():
         g = out.grad
-        xhat = out.data
-        gm = g.mean(axis=-1, keepdims=True)
-        gxm = (g * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv * (g - gm - xhat * gxm))
+        if gain.requires_grad:
+            _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            _accumulate(bias, g.reshape(-1, d).sum(axis=0))
+        if a.requires_grad:
+            gx = g * gain.data
+            gm = gx.sum(axis=-1, keepdims=True) / d
+            gxm = (gx * xhat).sum(axis=-1, keepdims=True) / d
+            _accumulate(a, inv * (gx - gm - xhat * gxm))
 
-    out = _finish("layer_norm", (a,), out_data, backward)
+    out = _finish("layer_norm", (a, gain, bias), out_data, backward)
     return out
 
 
@@ -444,52 +551,6 @@ def take_index(a, ids):
         _accumulate(a, ga)
 
     out = _finish("take_index", (a,), out_data, backward)
-    return out
-
-
-def concat(tensors, axis=-1):
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat: need at least one input")
-    try:
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError:
-        raise ShapeError(
-            f"concat: shapes {[t.data.shape for t in tensors]} do not align on axis {axis}"
-        ) from None
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward():
-        pieces = np.split(out.grad, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            _accumulate(t, piece)
-
-    out = _finish("concat", tuple(tensors), out_data, backward)
-    return out
-
-
-def masked_fill(a, mask, value):
-    """Replace entries where mask is True with a constant; grad is zero there."""
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    value = float(value)
-    try:
-        np.broadcast_shapes(mask.shape, a.data.shape)
-    except ValueError:
-        raise ShapeError(
-            f"masked_fill: mask shape {mask.shape} does not broadcast to {a.data.shape}"
-        ) from None
-    out_data = np.where(mask, value, a.data)
-    if out_data.shape != a.data.shape:
-        raise ShapeError(
-            f"masked_fill: mask shape {mask.shape} must not widen data shape {a.data.shape}"
-        )
-
-    def backward():
-        _accumulate(a, np.where(mask, 0.0, out.grad))
-
-    out = _finish("masked_fill", (a,), out_data, backward)
     return out
 
 

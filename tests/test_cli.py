@@ -163,6 +163,15 @@ def test_votes_alpha_splits(corpus, tmp_path, capsys):
     assert sorted((rows["a1"], rows["a4"])) == ["test", "validation"]
 
 
+@pytest.mark.parametrize("row", ["a1,True", "a2,yes", "a3"])
+def test_decisions_with_a_bad_row_name_the_line(corpus, tmp_path, capsys, row):
+    decisions = tmp_path / "decisions.csv"
+    decisions.write_text(f"task_id,helpful\na4,true\n{row}\n", encoding="utf-8")
+    assert _run("pipeline", "splits", "--in", corpus, "--out", tmp_path / "splits.csv",
+                "--decisions", decisions, "--seed", 1) == 1
+    assert f"{decisions}:3" in capsys.readouterr().err
+
+
 def test_vocab_and_context(corpus, tmp_path):
     vocab_out = tmp_path / "vocab.txt"
     assert _run("pipeline", "vocab", "--in", corpus, "--out", vocab_out,

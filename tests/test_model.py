@@ -116,6 +116,14 @@ def test_parameters_deterministic_and_round_trip(tmp_path):
         assert t.data.tobytes() == loaded[name].data.tobytes()
 
 
+def test_checkpoint_with_parameters_the_config_lacks_is_rejected(tmp_path):
+    path = tmp_path / "big.safa"
+    ModelParameters.build(tiny_config(encoder_layers=2, decoder_layers=2), seed=0).save(path)
+    with pytest.raises(T.CheckpointError, match="'encoder.1.self_attn.wq' is not in the config") as exc:
+        ModelParameters.load(path, tiny_config())
+    assert str(path) in str(exc.value)
+
+
 def test_every_truncated_checkpoint_or_feature_file_is_named(tmp_path):
     # a checkpoint cut at an entry boundary parses, then fails the config's shapes
     cfg = tiny_config()
