@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -320,16 +321,9 @@ def _resolve_model_config(args, src_vocab, tgt_vocab, features):
 
 def _add_model_flags(parser):
     parser.add_argument("--model-config", type=Path, help="key = value config file")
-    parser.add_argument("--encoder-layers", type=int, dest="encoder_layers")
-    parser.add_argument("--decoder-layers", type=int, dest="decoder_layers")
-    parser.add_argument("--d-model", type=int, dest="d_model")
-    parser.add_argument("--d-ffn", type=int, dest="d_ffn")
-    parser.add_argument("--heads", type=int)
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--label-smoothing", type=float, dest="label_smoothing")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--frame-loss-weight", type=float, dest="frame_loss_weight")
-    parser.add_argument("--ambiguity-weight", type=float, dest="ambiguity_weight")
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    for key in _MODEL_OVERRIDES:
+        parser.add_argument("--" + key.replace("_", "-"), type=types[key], dest=key)
 
 
 def _load_vocabs(args, train_records):
@@ -352,8 +346,6 @@ def cmd_train(args):
     inputs = [args.train, args.val] + ([args.flags] if args.flags else [])
     if not built:
         inputs += [args.src_vocab, args.tgt_vocab]
-    from dataclasses import asdict
-
     write_manifest(args.out, args, inputs, resolved=asdict(cfg))
 
     train_batches, skipped_train = make_batches(
@@ -394,13 +386,12 @@ def cmd_train(args):
     return 0
 
 
-def _decode_inputs(records, src_vocab, features):
-    src, mask = pad_rows([src_vocab.encode(r.source_text) for r in records])
-    feats = VideoFeatureBatch.stack([r.video_id for r in records], features)
-    return src, mask, feats
+def _load_model(args):
+    """Read the corpus and the model, write the manifest, then pad the sources and stack their clips.
 
-
-def _load_model(args, records):
+    Returns (records, src_vocab, tgt_vocab, cfg, params, src, src_mask, features).
+    """
+    records, _ = parse_corpus(args.corpus)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
     cfg = ModelConfig.from_text(Path(args.model_config).read_text(encoding="utf-8"))
@@ -413,15 +404,15 @@ def _load_model(args, records):
                 f"{args.model_config}: (frames_per_clip, video_feature_dim) is {expected}, "
                 f"but clip {vid!r} has (frames, dim) {clip.shape}"
             )
-    return src_vocab, tgt_vocab, cfg, params, features
+    write_manifest(args.out, args, [args.corpus, args.checkpoint, args.model_config,
+                                    args.src_vocab, args.tgt_vocab])
+    src, mask = pad_rows([src_vocab.encode(r.source_text) for r in records])
+    feats = VideoFeatureBatch.stack([r.video_id for r in records], features)
+    return records, src_vocab, tgt_vocab, cfg, params, src, mask, feats
 
 
 def cmd_decode(args):
-    records, _ = parse_corpus(args.corpus)
-    src_vocab, tgt_vocab, cfg, params, features = _load_model(args, records)
-    write_manifest(args.out, args, [args.corpus, args.checkpoint, args.model_config,
-                                    args.src_vocab, args.tgt_vocab])
-    src, mask, feats = _decode_inputs(records, src_vocab, features)
+    _, _, tgt_vocab, cfg, params, src, mask, feats = _load_model(args)
     dc = DecodeConfig(args.beam, args.max_length, args.length_penalty)
     hypotheses = beam_decode(params, cfg, src, mask, feats, dc)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -455,11 +446,7 @@ def cmd_ablate(args):
 
 
 def cmd_attn_dump(args):
-    records, _ = parse_corpus(args.corpus)
-    src_vocab, tgt_vocab, cfg, params, features = _load_model(args, records)
-    write_manifest(args.out, args, [args.corpus, args.checkpoint, args.model_config,
-                                    args.src_vocab, args.tgt_vocab])
-    src, src_mask, feats = _decode_inputs(records, src_vocab, features)
+    records, src_vocab, tgt_vocab, cfg, params, src, src_mask, feats = _load_model(args)
     tgt, tgt_mask = pad_rows(
         [[BOS_ID] + tgt_vocab.encode(r.target_text) + [EOS_ID] for r in records]
     )
@@ -481,6 +468,27 @@ def cmd_grad_check(args):
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _add_dataset_flags(parser):
+    """The synthetic-dataset flags ``synth`` and ``ablate`` share."""
+    parser.add_argument("--n-train", dest="n_train", type=int, default=2000)
+    parser.add_argument("--n-val", dest="n_val", type=int, default=200)
+    parser.add_argument("--n-test", dest="n_test", type=int, default=200)
+    parser.add_argument("--frames", type=int, default=12)
+    parser.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
+    parser.add_argument("--bump", choices=("central", "edge"), default="central")
+
+
+def _add_model_inputs(parser):
+    """The trained-model inputs and the output path ``decode`` and ``attn-dump`` share."""
+    parser.add_argument("--corpus", type=Path, required=True)
+    parser.add_argument("--features", type=Path, required=True)
+    parser.add_argument("--checkpoint", type=Path, required=True)
+    parser.add_argument("--model-config", dest="model_config", type=Path, required=True)
+    parser.add_argument("--src-vocab", dest="src_vocab", type=Path, required=True)
+    parser.add_argument("--tgt-vocab", dest="tgt_vocab", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
 
 
 def _common(parser):
@@ -544,12 +552,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate the synthetic disambiguation dataset")
     p.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
-    p.add_argument("--n-train", dest="n_train", type=int, default=2000)
-    p.add_argument("--n-val", dest="n_val", type=int, default=200)
-    p.add_argument("--n-test", dest="n_test", type=int, default=200)
-    p.add_argument("--frames", type=int, default=12)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
-    p.add_argument("--bump", choices=("central", "edge"), default="central")
+    _add_dataset_flags(p)
     _common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -579,13 +582,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("decode", help="beam-decode a corpus")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--model-config", dest="model_config", type=Path, required=True)
-    p.add_argument("--src-vocab", dest="src_vocab", type=Path, required=True)
-    p.add_argument("--tgt-vocab", dest="tgt_vocab", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    _add_model_inputs(p)
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--max-length", dest="max_length", type=int, default=64)
     p.add_argument("--length-penalty", dest="length_penalty", type=float, default=1.0)
@@ -600,12 +597,7 @@ def build_parser():
 
     p = sub.add_parser("ablate", help="synthetic-task ablation table")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n-train", dest="n_train", type=int, default=2000)
-    p.add_argument("--n-val", dest="n_val", type=int, default=200)
-    p.add_argument("--n-test", dest="n_test", type=int, default=200)
-    p.add_argument("--frames", type=int, default=12)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
-    p.add_argument("--bump", choices=("central", "edge"), default="central")
+    _add_dataset_flags(p)
     p.add_argument("--max-steps", dest="max_steps", type=int, default=600)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--dropout", type=float, default=0.1)
@@ -615,13 +607,7 @@ def build_parser():
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("attn-dump", help="export per-token frame attention")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--model-config", dest="model_config", type=Path, required=True)
-    p.add_argument("--src-vocab", dest="src_vocab", type=Path, required=True)
-    p.add_argument("--tgt-vocab", dest="tgt_vocab", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    _add_model_inputs(p)
     _common(p)
     p.set_defaults(func=cmd_attn_dump)
 

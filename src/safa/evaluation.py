@@ -79,6 +79,15 @@ def _score(logprob, length, penalty):
     return logprob / (length ** penalty)
 
 
+def log_normalize(logits):
+    """Log-probabilities of logits over the last axis: the one normalizer of decoding and scoring.
+
+    ``[..., None]`` rather than ``keepdims=True``: same values, and the
+    keyword cost about 1% of a beam-5 decode, which calls this once per row.
+    """
+    return logits - np.logaddexp.reduce(logits, axis=-1)[..., None]
+
+
 def _offers(logits, k):
     """The k best next tokens of one row of logits, as (token, log-probability).
 
@@ -87,7 +96,7 @@ def _offers(logits, k):
     stable sort of the whole vocabulary per row took about a third of a
     beam-5 decode's time.
     """
-    logp = logits - np.logaddexp.reduce(logits)
+    logp = log_normalize(logits)
     cut = np.partition(logp, -k)[-k] if k < logp.size else -np.inf
     ids = np.flatnonzero(logp >= cut)
     ids = ids[np.argsort(-logp[ids], kind="stable")[:k]]
@@ -144,7 +153,7 @@ def hypothesis_score(params, cfg, src, src_mask, features, token_ids, length_pen
     prefix = np.array([[BOS_ID] + ids[:-1]], dtype=np.int64)
     mask = np.ones_like(prefix, dtype=bool)
     logits = decode(fused, prefix, mask, src_mask, params, cfg)
-    logp = logits.data[0] - np.logaddexp.reduce(logits.data[0], axis=-1)[:, None]
+    logp = log_normalize(logits.data[0])
     total = float(sum(logp[t, tok] for t, tok in enumerate(ids)))
     return _score(total, len(ids), length_penalty)
 
@@ -224,42 +233,6 @@ def variant_features(variant, features):
     if not ABLATION_VARIANTS[variant][1]:
         return features
     return {k: np.zeros_like(v) for k, v in features.items()}
-
-
-def run_ablation_suite(cfg, train_batches, val_batches, test_records, features,
-                       tgt_vocab, train_config, variants=None, decode_config=None,
-                       make_test_inputs=None):
-    """Train and score each variant from shared initial parameters.
-
-    ``make_test_inputs`` supplies (src, src_mask, VideoFeatureBatch) for the
-    test records. A variant that drops the video (text_only) sees every
-    feature zeroed in both training and decoding. Returns ({variant, bleu,
-    synthetic_accuracy} rows, trained parameters per variant).
-    """
-    from .training import train
-
-    variants = variants or list(ABLATION_VARIANTS)
-    rows = []
-    trained = {}
-    for variant in variants:
-        vcfg = variant_config(cfg, variant)
-        feats = variant_features(variant, features)
-        params = ModelParameters.build(vcfg, seed=train_config.seed)
-        result = train(params, vcfg, train_batches, val_batches, feats, train_config)
-        trained[variant] = result.params
-        src, src_mask, test_feats = make_test_inputs(feats)
-        hyps = beam_decode(result.params, vcfg, src, src_mask, test_feats, decode_config)
-        hyp_text = [tgt_vocab.decode(h) for h in hyps]
-        refs = [r.target_text for r in test_records]
-        exact = sum(h == r for h, r in zip(hyp_text, refs)) / len(refs)
-        rows.append(
-            {
-                "variant": variant,
-                "bleu": corpus_bleu(hyp_text, refs),
-                "synthetic_accuracy": exact,
-            }
-        )
-    return rows, trained
 
 
 def write_results_table(path, rows):
@@ -342,13 +315,16 @@ class SyntheticExperiment:
 
 
 def run_synthetic_experiment(exp, variants=None):
-    """Generate the synthetic corpus, run the ablation suite, score variants.
+    """Generate the synthetic corpus, then train, decode and score each variant.
 
-    Returns (rows, details) where details carry trained parameters, the
-    shared config, test inputs, and each variant's mean central attention.
+    Every variant starts from the same initial parameters. A variant that
+    drops the video (text_only) sees every feature zeroed in both training
+    and decoding. Returns ({variant, bleu, synthetic_accuracy} rows,
+    details) where details carry trained parameters, the shared config,
+    test inputs, and each variant's mean central attention.
     """
     from .corpus import build_vocabulary
-    from .training import Schedule, TrainConfig, generate_synthetic_dataset, make_batches
+    from .training import Schedule, TrainConfig, generate_synthetic_dataset, make_batches, train
 
     records, features, flags = generate_synthetic_dataset(
         exp.n_train + exp.n_val + exp.n_test, exp.frames, exp.feature_dim,
@@ -383,28 +359,32 @@ def run_synthetic_experiment(exp, variants=None):
         patience=exp.patience, seed=exp.seed,
         schedule=Schedule(exp.warmup_steps, exp.lr_start, exp.lr_peak),
     )
-
-    def make_test_inputs(feats):
-        src, mask = pad_rows([src_vocab.encode(r.source_text) for r in test_records])
-        return src, mask, VideoFeatureBatch.stack([r.id for r in test_records], feats)
-
-    rows, trained = run_ablation_suite(
-        cfg, train_batches, val_batches, test_records, features, tgt_vocab, tc,
-        variants=variants, decode_config=DecodeConfig(beam_size=1, max_length=8),
-        make_test_inputs=make_test_inputs,
-    )
-    central = {}
-    for variant, params in trained.items():
-        src, mask, feats_v = make_test_inputs(variant_features(variant, features))
-        central[variant] = mean_central_attention(
-            params, variant_config(cfg, variant), src, mask, feats_v
+    src, mask = pad_rows([src_vocab.encode(r.source_text) for r in test_records])
+    test_ids = [r.id for r in test_records]
+    refs = [r.target_text for r in test_records]
+    dc = DecodeConfig(beam_size=1, max_length=8)
+    rows, trained, central = [], {}, {}
+    for variant in variants or list(ABLATION_VARIANTS):
+        vcfg = variant_config(cfg, variant)
+        feats = variant_features(variant, features)
+        params = train(ModelParameters.build(vcfg, seed=tc.seed), vcfg, train_batches, val_batches,
+                       feats, tc).params
+        test_feats = VideoFeatureBatch.stack(test_ids, feats)
+        hyp_text = [tgt_vocab.decode(h) for h in beam_decode(params, vcfg, src, mask, test_feats, dc)]
+        rows.append(
+            {
+                "variant": variant,
+                "bleu": corpus_bleu(hyp_text, refs),
+                "synthetic_accuracy": sum(h == r for h, r in zip(hyp_text, refs)) / len(refs),
+            }
         )
-    src, mask, test_feats = make_test_inputs(features)
+        trained[variant] = params
+        central[variant] = mean_central_attention(params, vcfg, src, mask, test_feats)
     details = {
         "config": cfg,
         "trained": trained,
         "central_attention": central,
-        "test_inputs": (src, mask, test_feats),
+        "test_inputs": (src, mask, VideoFeatureBatch.stack(test_ids, features)),
         "vocabularies": (src_vocab, tgt_vocab),
     }
     return rows, details

@@ -278,6 +278,11 @@ def _layer_norm(x, p, prefix):
     return T.layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"])
 
 
+def _residual(x, sublayer, p, norm, cfg, training, rng):
+    """Post-norm residual: ``layer_norm(x + dropout(sublayer))`` with the ``norm`` gain and bias."""
+    return _layer_norm(T.add(x, _maybe_dropout(sublayer, cfg.dropout, training, rng)), p, norm)
+
+
 def _project_kv(x_kv, p, prefix):
     """Keys and values of one attention sublayer, each (B, S, d_model)."""
     k = T.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
@@ -311,9 +316,8 @@ def encode_text(batch, p, cfg, training=False, rng=None):
     for i in range(cfg.encoder_layers):
         prefix = f"encoder.{i}"
         attn = _attention_block(x, x, p, f"{prefix}.self_attn", cfg.heads, key_blocked)
-        x = _layer_norm(T.add(x, _maybe_dropout(attn, cfg.dropout, training, rng)), p, f"{prefix}.norm1")
-        ffn = _ffn_block(x, p, prefix, cfg, training, rng)
-        x = _layer_norm(T.add(x, ffn), p, f"{prefix}.norm2")
+        x = _residual(x, attn, p, f"{prefix}.norm1", cfg, training, rng)
+        x = _residual(x, _ffn_block(x, p, prefix), p, f"{prefix}.norm2", cfg, training, rng)
     return x
 
 
@@ -324,7 +328,7 @@ def project_video(features, p):
             f"video features have dim {features.features.shape[-1]}, "
             f"projection expects {p['video_projection'].data.shape[0]}"
         )
-    return T.matmul(Tensor(features.features), p["video_projection"])
+    return T.linear(Tensor(features.features), p["video_projection"])
 
 
 def selective_attention(h_text, h_video, cfg):
@@ -340,7 +344,7 @@ def selective_attention(h_text, h_video, cfg):
 
 def gated_fusion(h_text, h_attn, p):
     """Elementwise sigmoid gate mixing text and attended-video representations."""
-    gate = T.sigmoid(T.add(T.matmul(h_text, p["gate_text"]), T.matmul(h_attn, p["gate_video"])))
+    gate = T.sigmoid(T.add(T.linear(h_text, p["gate_text"]), T.linear(h_attn, p["gate_video"])))
     fused = T.add(h_text, T.mul(gate, T.sub(h_attn, h_text)))
     return fused, gate
 
@@ -417,21 +421,19 @@ def decode(h_out, tgt_input, tgt_input_mask, src_mask, p, cfg, training=False, r
         prefix = f"decoder.{i}"
         kv = None if cache is None else cache.extend(i, _project_kv(x, p, f"{prefix}.self_attn"))
         attn = _attention_block(x, x, p, f"{prefix}.self_attn", cfg.heads, self_blocked, kv)
-        x = _layer_norm(T.add(x, _maybe_dropout(attn, cfg.dropout, training, rng)), p, f"{prefix}.norm1")
+        x = _residual(x, attn, p, f"{prefix}.norm1", cfg, training, rng)
         kv = None if cache is None else cache.cross_kv(i)
         cross = _attention_block(x, h_out, p, f"{prefix}.cross_attn", cfg.heads, cross_blocked, kv)
-        x = _layer_norm(T.add(x, _maybe_dropout(cross, cfg.dropout, training, rng)), p, f"{prefix}.norm2")
-        ffn = _ffn_block(x, p, prefix, cfg, training, rng)
-        x = _layer_norm(T.add(x, ffn), p, f"{prefix}.norm3")
+        x = _residual(x, cross, p, f"{prefix}.norm2", cfg, training, rng)
+        x = _residual(x, _ffn_block(x, p, prefix), p, f"{prefix}.norm3", cfg, training, rng)
     if cache is not None:
         cache.length += 1
-    return T.matmul(x, p["output_projection"])
+    return T.linear(x, p["output_projection"])
 
 
-def _ffn_block(x, p, prefix, cfg, training, rng):
+def _ffn_block(x, p, prefix):
     hidden = T.relu(T.linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
-    out = T.linear(hidden, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
-    return _maybe_dropout(out, cfg.dropout, training, rng)
+    return T.linear(hidden, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +443,26 @@ def _ffn_block(x, p, prefix, cfg, training, rng):
 _PROB_FLOOR = 1e-12
 
 
+def _masked_mean(per_token, mask, side):
+    """Per-sample mean of (B, S) ``per_token`` over the positions ``mask`` keeps, shape (B,)."""
+    counts = mask.sum(axis=1)
+    if (counts == 0).any():
+        raise DegenerateSampleError(f"sample with all {side} positions masked")
+    masked = T.mul(per_token, Tensor(mask.astype(np.float64)))
+    return T.mul(T.reduce_sum(masked, axis=-1), Tensor(1.0 / counts))
+
+
 def label_smoothed_loss(logits, targets, mask, smoothing):
     """Per-sample translation losses, shape (B,).
 
     Per token: (1 - eps) * NLL(target) + eps * mean over the vocabulary of
     per-class NLL; then the mean over unmasked tokens of each sample.
     """
-    counts = mask.sum(axis=1)
-    if (counts == 0).any():
-        raise DegenerateSampleError("sample with all target positions masked")
     logp = T.log_softmax(logits)
     nll = T.scale(T.take_index(logp, targets), -1.0)
     smooth = T.scale(T.reduce_mean(logp, axis=-1), -1.0)
     per_token = T.add(T.scale(nll, 1.0 - smoothing), T.scale(smooth, smoothing))
-    masked = T.mul(per_token, Tensor(mask.astype(np.float64)))
-    return T.mul(T.reduce_sum(masked, axis=-1), Tensor(1.0 / counts))
+    return _masked_mean(per_token, mask, "target")
 
 
 def gaussian_target(frames, halfwidth, mean, std, temperature):
@@ -481,15 +488,10 @@ def frame_attention_loss(frame_attention, target, mask):
     Probabilities are floored at 1e-12 inside the logs so an exact zero on
     either side never produces an infinity.
     """
-    counts = mask.sum(axis=1)
-    if (counts == 0).any():
-        raise DegenerateSampleError("sample with all source positions masked")
     log_q = Tensor(np.log(np.maximum(np.asarray(target, dtype=np.float64), _PROB_FLOOR)))
     log_p = T.log(frame_attention, floor=_PROB_FLOOR)
     kl_tok = T.reduce_sum(T.mul(frame_attention, T.sub(log_p, log_q)), axis=-1)
-    masked = T.mul(kl_tok, Tensor(mask.astype(np.float64)))
-    per_sample = T.mul(T.reduce_sum(masked, axis=-1), Tensor(1.0 / counts))
-    return T.reduce_mean(per_sample)
+    return T.reduce_mean(_masked_mean(kl_tok, mask, "source"))
 
 
 def total_loss(per_sample_losses, flags, frame_loss, cfg):
@@ -507,13 +509,11 @@ def total_loss(per_sample_losses, flags, frame_loss, cfg):
     ambiguous = int(flags.sum())
     unambiguous = int(flags.size - ambiguous)
     translation = None
-    if ambiguous:
-        group = T.reduce_sum(T.mul(per_sample_losses, Tensor(flags.astype(np.float64))))
-        translation = T.scale(group, cfg.ambiguity_weight / ambiguous)
-    if unambiguous:
-        group = T.reduce_sum(T.mul(per_sample_losses, Tensor((~flags).astype(np.float64))))
-        group = T.scale(group, 1.0 / unambiguous)
-        translation = group if translation is None else T.add(translation, group)
+    for members, count, weight in ((flags, ambiguous, cfg.ambiguity_weight), (~flags, unambiguous, 1.0)):
+        if count:
+            group = T.reduce_sum(T.mul(per_sample_losses, Tensor(members.astype(np.float64))))
+            group = T.scale(group, weight / count)
+            translation = group if translation is None else T.add(translation, group)
     total = T.add(translation, T.scale(frame_loss, cfg.frame_loss_weight))
     return BatchLossBreakdown(
         translation_loss=translation.item(),

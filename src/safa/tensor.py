@@ -243,14 +243,8 @@ def scale(a, factor):
     return out
 
 
-def _matmul_data(a, b):
-    """``a @ b``; against a 2-D ``b`` the leading axes of ``a`` fold into one GEMM."""
-    if b.ndim == 2 and a.ndim > 2:
-        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + (b.shape[-1],))
-    return np.matmul(a, b)
-
-
 def matmul(a, b):
+    """Batched ``a @ b`` as in ``np.matmul``; a product against a 2-D weight is ``linear``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: operands must have rank >= 2, got {a.data.shape} @ {b.data.shape}")
@@ -258,40 +252,37 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: contraction mismatch, axis -1 of {a.data.shape} vs axis -2 of {b.data.shape}"
         )
-    out_data = _matmul_data(a.data, b.data)
+    out_data = np.matmul(a.data, b.data)
 
     def backward():
         g = out.grad
         if a.requires_grad:
-            ga = _matmul_data(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if b.requires_grad:
-            if b.data.ndim == 2:
-                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
-            _accumulate(b, gb)
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     out = _finish("matmul", (a, b), out_data, backward)
     return out
 
 
-def linear(x, w, b):
-    """``x @ w + b`` for a 2-D weight ``w`` and a bias ``b`` over its columns.
+def linear(x, w, b=None):
+    """``x @ w`` for a 2-D weight ``w``, plus ``b`` over its columns when a bias is given.
 
     The leading axes of ``x`` fold into one GEMM, forward and for each
     gradient; the bias gradient is one sum over the folded rows.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0] \
-            or b.data.shape != w.data.shape[1:]:
+            or (b is not None and b.data.shape != w.data.shape[1:]):
         raise ShapeError(
-            f"linear: input {x.data.shape}, weight {w.data.shape} and bias {b.data.shape} do not conform"
+            f"linear: input {x.data.shape}, weight {w.data.shape} and bias "
+            f"{None if b is None else b.data.shape} do not conform"
         )
     d_in, d_out = w.data.shape
     x2 = x.data.reshape(-1, d_in)
     out_data = (x2 @ w.data).reshape(x.data.shape[:-1] + (d_out,))
-    out_data += b.data
+    if b is not None:
+        out_data += b.data
 
     def backward():
         g2 = out.grad.reshape(-1, d_out)
@@ -299,10 +290,10 @@ def linear(x, w, b):
             _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
         if w.requires_grad:
             _accumulate(w, x2.T @ g2)
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             _accumulate(b, g2.sum(axis=0))
 
-    out = _finish("linear", (x, w, b), out_data, backward)
+    out = _finish("linear", (x, w) if b is None else (x, w, b), out_data, backward)
     return out
 
 
@@ -730,5 +721,8 @@ def load_checkpoint(path):
             (rank,) = struct.unpack("<B", take(1, f"rank of parameter {name!r}"))
             dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"shape of parameter {name!r}"))
             raw = take(8 * math.prod(dims), f"values for parameter {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+            try:
+                out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+            except ValueError:  # too many axes, or an axis numpy cannot index, beside a zero
+                raise CheckpointError(f"{path}: parameter {name!r} has an impossible shape") from None
     return out

@@ -147,15 +147,12 @@ def make_batches(records, src_vocab, tgt_vocab, tokens_per_batch, seed=0, flags_
     return [batches[i] for i in order], skipped
 
 
-def _feature_batch(batch, features):
-    return VideoFeatureBatch.stack(batch.video_ids, features)
-
-
 def evaluate_loss(params, cfg, batches, features):
     """Sample-weighted mean total loss over batches, dropout off."""
     total, count = 0.0, 0
     for batch in batches:
-        _, breakdown = forward_full(batch.text, _feature_batch(batch, features), params, cfg)
+        features_batch = VideoFeatureBatch.stack(batch.video_ids, features)
+        _, breakdown = forward_full(batch.text, features_batch, params, cfg)
         total += breakdown.total * batch.text.size
         count += batch.text.size
     return total / count
@@ -216,7 +213,7 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
             try:
                 with Tape() as tape:
                     _, breakdown = forward_full(
-                        batch.text, _feature_batch(batch, features), params, cfg,
+                        batch.text, VideoFeatureBatch.stack(batch.video_ids, features), params, cfg,
                         training=True, rng=dropout_rng,
                     )
                     tape.backward(breakdown.loss)

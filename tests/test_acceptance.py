@@ -116,11 +116,12 @@ def test_criterion_02_overfit_sanity():
 
     # token-weighted training loss of the returned checkpoint
     total_nll, total_tokens = 0.0, 0
-    from safa.model import label_smoothed_loss
-    from safa.training import _feature_batch
+    from safa.model import VideoFeatureBatch, label_smoothed_loss
 
     for batch in batches:
-        out, _ = forward_full(batch.text, _feature_batch(batch, features), result.params, cfg)
+        out, _ = forward_full(
+            batch.text, VideoFeatureBatch.stack(batch.video_ids, features), result.params, cfg
+        )
         per_sample = label_smoothed_loss(
             out.logits, batch.text.tgt[:, 1:], batch.text.tgt_mask[:, 1:], 0.0
         )

@@ -326,3 +326,46 @@ def test_grad_check_command(capsys):
     assert _run("grad-check", "--seed", 1, "--d-model", 8, "--frames", 4) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+_DECODE_INPUTS = ["--corpus", "c", "--features", "f", "--checkpoint", "k", "--model-config", "m",
+                  "--src-vocab", "s", "--tgt-vocab", "t", "--out", "o"]
+_MODEL_INPUT_KEYS = {"checkpoint", "command", "corpus", "features", "model_config", "out", "seed",
+                     "src_vocab", "tgt_vocab", "threads"}
+_DATASET_KEYS = {"bump", "command", "feature_dim", "frames", "n_test", "n_train", "n_val", "seed", "threads"}
+_MANIFEST_KEYS = {
+    "train": {"ambiguity_weight", "checkpoint_every", "clip_norm", "command", "d_ffn", "d_model",
+              "decoder_layers", "dropout", "encoder_layers", "features", "flags", "frame_loss_weight",
+              "heads", "label_smoothing", "lr_peak", "lr_start", "max_epochs", "max_steps", "metrics",
+              "model_config", "no_clip", "out", "patience", "seed", "src_vocab", "temperature",
+              "tgt_vocab", "threads", "tokens_per_batch", "train", "val", "vocab_min_count",
+              "warmup_steps"},
+    "decode": _MODEL_INPUT_KEYS | {"beam", "length_penalty", "max_length"},
+    "attn-dump": _MODEL_INPUT_KEYS,
+    "synth": _DATASET_KEYS | {"out_dir"},
+    "ablate": _DATASET_KEYS | {"dropout", "lr_peak", "max_steps", "out", "patience", "variants"},
+    "grad-check": {"command", "d_model", "frames", "repeats", "seed", "threads"},
+}
+_MINIMAL_ARGV = {
+    "train": ["--train", "t", "--val", "v", "--features", "f", "--out", "o",
+              "--d-model", "8", "--heads", "2", "--dropout", "0.25", "--ambiguity-weight", "3"],
+    "decode": _DECODE_INPUTS,
+    "attn-dump": _DECODE_INPUTS,
+    "synth": ["--out-dir", "d"],
+    "ablate": ["--out", "o"],
+    "grad-check": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_KEYS))
+def test_manifest_config_keys_per_command(tmp_path, command):
+    argv = [command, *_MINIMAL_ARGV[command]]
+    args = cli.build_parser().parse_args(argv)
+    args.argv = argv
+    cli.write_manifest(tmp_path / "out", args, [])
+    config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+    assert set(config) == _MANIFEST_KEYS[command]
+    if command == "train":  # model overrides keep ModelConfig's field types
+        assert [config[k] for k in ("d_model", "heads", "dropout", "ambiguity_weight", "temperature")] \
+            == [8, 2, 0.25, 3.0, None]
+        assert isinstance(config["d_model"], int) and isinstance(config["ambiguity_weight"], float)

@@ -13,6 +13,7 @@ from safa.evaluation import (
     corpus_bleu,
     export_attention,
     hypothesis_score,
+    log_normalize,
     read_attention_dump,
     variant_config,
     write_results_table,
@@ -199,8 +200,7 @@ def _reference_beam_search(params, cfg, src, src_mask, features, dc):
             for ids, logprob in beams:
                 prefix = np.array([[BOS_ID] + ids], dtype=np.int64)
                 logits = decode(memory, prefix, np.ones_like(prefix, dtype=bool), mask, params, cfg)
-                logp = logits.data[0, -1]
-                logp = logp - np.logaddexp.reduce(logp)
+                logp = log_normalize(logits.data[0, -1])
                 for token in np.argsort(-logp, kind="stable")[: dc.beam_size]:
                     candidates.append((ids + [int(token)], logprob + float(logp[token])))
             candidates.sort(key=lambda c: -c[1])
@@ -249,7 +249,7 @@ def test_offers_follow_stable_argsort_with_ties(k):
     # three-way ties at the top and one straddling the 5th best value; k=8 and
     # k=10 take the whole row
     logits = np.array([0.5, 2.0, 1.0, 2.0, 1.0, 1.0, -3.0, 2.0])
-    logp = logits - np.logaddexp.reduce(logits)
+    logp = log_normalize(logits)
     expected = [(int(t), float(logp[t])) for t in np.argsort(-logp, kind="stable")[:k]]
     assert _offers(logits, k) == expected
 

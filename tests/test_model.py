@@ -364,6 +364,13 @@ def test_label_smoothing_all_masked_sample():
         label_smoothed_loss(logits, np.zeros((1, 2), dtype=int), np.zeros((1, 2), dtype=bool), 0.1)
 
 
+def test_frame_attention_loss_all_masked_source_sample():
+    attention = Tensor(np.full((2, 3, 4), 0.25))
+    mask = np.array([[True, True, False], [False, False, False]])
+    with pytest.raises(DegenerateSampleError, match="source"):
+        frame_attention_loss(attention, gaussian_target(4, 3.0, 1.0, 1.0, 1.0), mask)
+
+
 def test_gaussian_target_single_frame():
     np.testing.assert_array_equal(gaussian_target(1, 3.0, 1.0, 1.0, 1.0), [1.0])
 

@@ -188,6 +188,8 @@ def _fd_case(name, rng):
         return _attention_case(rng, name, (2, 1, 4), (2, 5, 4), None)
     if name == "linear-2d":
         return _linear_case(rng, (5, 4))
+    if name == "linear-nobias":
+        return _linear_case(rng, (2, 3, 4), bias=False)
     if name == "embedding":
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = rng.integers(0, 5, size=(2, 4))
@@ -209,12 +211,15 @@ def _fd_case(name, rng):
     raise AssertionError(f"no finite-difference case for primitive {name!r}")
 
 
-def _linear_case(rng, shape):
-    x = Tensor(rng.normal(size=shape), requires_grad=True)
-    w = Tensor(rng.normal(size=(shape[-1], 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+def _linear_case(rng, shape, bias=True):
+    params = {
+        "x": Tensor(rng.normal(size=shape), requires_grad=True),
+        "w": Tensor(rng.normal(size=(shape[-1], 3)), requires_grad=True),
+    }
+    if bias:
+        params["b"] = Tensor(rng.normal(size=(3,)), requires_grad=True)
     cotangent = rng_fixed(f"linear{shape}", shape[:-1] + (3,))
-    return lambda p: T.reduce_sum(T.mul(T.linear(p["x"], p["w"], p["b"]), Tensor(cotangent))), {"x": x, "w": w, "b": b}
+    return lambda p: T.reduce_sum(T.mul(T.linear(p["x"], p["w"], p.get("b")), Tensor(cotangent))), params
 
 
 def _attention_case(rng, key, q_shape, kv_shape, blocked):
@@ -248,7 +253,7 @@ PRIMITIVE_NAMES = (
     "sub", "take_index", "transpose",
 )
 # further cases of the fused primitives
-FUSED_VARIANTS = ("attention-cached-step", "attention-causal", "linear-2d")
+FUSED_VARIANTS = ("attention-cached-step", "attention-causal", "linear-2d", "linear-nobias")
 
 
 @pytest.mark.parametrize("name", PRIMITIVE_NAMES + FUSED_VARIANTS)
@@ -315,21 +320,23 @@ def test_broadcast_and_batched_gradients_match_central_differences(name, shape_a
 
 
 def test_matmul_constant_operand_keeps_no_grad():
+    # also linear without a bias, the weight product of the projections that have none
     rng = np.random.default_rng(5)
     x, w, cotangent = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(2, 3, 5))
 
-    def grads(x_requires_grad, w_requires_grad):
+    def grads(op, x_requires_grad, w_requires_grad):
         a, b = Tensor(x, x_requires_grad), Tensor(w, w_requires_grad)
         with Tape() as tape:
-            tape.backward(T.reduce_sum(T.mul(T.matmul(a, b), Tensor(cotangent))))
+            tape.backward(T.reduce_sum(T.mul(op(a, b), Tensor(cotangent))))
         return a.grad, b.grad
 
-    ga, gb = grads(True, True)
-    const_x, only_w = grads(False, True)
-    only_x, const_w = grads(True, False)
-    assert const_x is None and const_w is None
-    np.testing.assert_array_equal(only_w, gb)
-    np.testing.assert_array_equal(only_x, ga)
+    for op in (T.matmul, T.linear):
+        ga, gb = grads(op, True, True)
+        const_x, only_w = grads(op, False, True)
+        only_x, const_w = grads(op, True, False)
+        assert const_x is None and const_w is None
+        np.testing.assert_array_equal(only_w, gb)
+        np.testing.assert_array_equal(only_x, ga)
 
 
 def test_check_gradients_square():

@@ -270,12 +270,12 @@ def test_early_stopping_keeps_best(monkeypatch):
 def test_train_divergence_returns_last_good():
     cfg, batches, features = _tiny_setup(dropout=0.0)
     params = ModelParameters.build(cfg, seed=2)
-    params["output_projection"].data[:] = 1e308  # overflow on first matmul
+    params["output_projection"].data[:] = 1e308  # overflow in the output projection
     tc = TrainConfig(max_steps=4, seed=0, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
     result = train(params, cfg, batches, batches[:1], features, tc)
     assert result.diverged
     assert result.steps == 1
-    assert result.diverged_reason == "matmul: non-finite values in output"
+    assert result.diverged_reason == "linear: non-finite values in output"
 
 
 def test_checkpoint_cadence_callback():
