@@ -299,11 +299,19 @@ _MODEL_OVERRIDES = (
 )
 
 
+def _read_model_config(path):
+    """Parse a ``key = value`` model config; an invalid one is an input error naming the file."""
+    try:
+        return ModelConfig.from_text(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _resolve_model_config(args, src_vocab, tgt_vocab, features):
     """Precedence: command-line flags > config file > defaults."""
     kwargs = {}
     if args.model_config:
-        file_cfg = ModelConfig.from_text(Path(args.model_config).read_text(encoding="utf-8"))
+        file_cfg = _read_model_config(args.model_config)
         kwargs = {k: getattr(file_cfg, k) for k in _MODEL_OVERRIDES}
     for key in _MODEL_OVERRIDES:
         value = getattr(args, key, None)
@@ -394,7 +402,7 @@ def _load_model(args):
     records, _ = parse_corpus(args.corpus)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
-    cfg = ModelConfig.from_text(Path(args.model_config).read_text(encoding="utf-8"))
+    cfg = _read_model_config(args.model_config)
     params = ModelParameters.load(args.checkpoint, cfg)
     features = _load_features_dir(args.features, sorted({r.video_id for r in records}))
     expected = (cfg.frames_per_clip, cfg.video_feature_dim)

@@ -556,14 +556,6 @@ def load_similarity_matrix(path):
     return np.array(values, dtype=np.float64).reshape(n, n)
 
 
-def save_similarity_matrix(path, matrix):
-    matrix = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"SIM v1 {matrix.shape[0]}\n")
-        for row in matrix:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Video feature files
 # ---------------------------------------------------------------------------

@@ -415,8 +415,3 @@ def export_attention(params, cfg, batch, features, src_vocab, path):
                 "frame_aggregate": [float(w) for w in rows.mean(axis=0)],
             }
             f.write(json.dumps(record) + "\n")
-
-
-def read_attention_dump(path):
-    with open(path, encoding="utf-8") as f:
-        return [json.loads(line) for line in f]

@@ -8,7 +8,7 @@ group reweighting of possibly-ambiguous samples.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,11 @@ class ModelConfig:
     ambiguity_weight: float = 2.0
 
     def __post_init__(self):
+        for name in ("src_vocab_size", "tgt_vocab_size", "d_model", "d_ffn", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.temperature <= 0:
@@ -76,7 +81,14 @@ class ModelConfig:
             if key not in types:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             wants_int = types[key] is int or types[key] == "int"
-            kwargs[key] = int(value) if wants_int else float(value)
+            try:
+                kwargs[key] = int(value) if wants_int else float(value)
+            except ValueError:
+                kind = "an integer" if wants_int else "a number"
+                raise ValueError(f"config line {lineno}: {key} must be {kind}, got {value!r}") from None
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
+        if missing:
+            raise ValueError(f"config lacks {', '.join(missing)}")
         return cls(**kwargs)
 
 
@@ -252,14 +264,26 @@ class ModelParameters:
         return cls(tensors, config)
 
 
+_POSITION_TABLES = {}  # d_model -> read-only table, grown to the longest length asked for
+
+
 def sinusoidal_positions(length, d_model):
-    """Fixed sin/cos position table, shape (length, d_model)."""
-    position = np.arange(length, dtype=np.float64)[:, None]
-    div = np.exp(np.arange(0, d_model, 2, dtype=np.float64) * (-math.log(10000.0) / d_model))
-    table = np.zeros((length, d_model))
-    table[:, 0::2] = np.sin(position * div)
-    table[:, 1::2] = np.cos(position * div)
-    return table
+    """Fixed sin/cos position table, shape (length, d_model), as a read-only view.
+
+    Row p depends only on p, so one table per d_model, grown on demand,
+    serves every length: a forward no longer recomputes it.
+    """
+    table = _POSITION_TABLES.get(d_model)
+    if table is None or table.shape[0] < length:
+        size = max(length, 0 if table is None else 2 * table.shape[0])
+        position = np.arange(size, dtype=np.float64)[:, None]
+        div = np.exp(np.arange(0, d_model, 2, dtype=np.float64) * (-math.log(10000.0) / d_model))
+        table = np.zeros((size, d_model))
+        table[:, 0::2] = np.sin(position * div)
+        table[:, 1::2] = np.cos(position * div)
+        table.flags.writeable = False
+        _POSITION_TABLES[d_model] = table
+    return table[:length]
 
 
 # ---------------------------------------------------------------------------

@@ -61,11 +61,18 @@ class Tensor:
 
 
 def _accumulate(t, g):
+    """Add gradient ``g`` into ``t.grad``; on the first write ``t`` adopts ``g`` itself.
+
+    Adoption skips a zero-fill and an add, and makes ``g`` t's own: a
+    backward must hand each array it computes to one tensor only, so that
+    no two tensors' gradients share memory.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.asarray(g)  # a product of 0-d arrays is a numpy scalar
+    else:
+        t.grad += g
 
 
 class _Entry:
@@ -178,6 +185,49 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# numpy reduces the last axis of a C-ordered array one row at a time, about
+# 60 ns a row when rows hold 3-12 values, as attention scores do. With many
+# rows, a sum is one BLAS matrix-vector product with a ones vector, and the
+# max of short rows one reduction across the rows of a transposed copy.
+# Below _MANY_ROWS rows numpy's per-row cost is under those calls' fixed
+# cost; from about 64 values a row numpy's max vectorizes along the row.
+_MANY_ROWS = 64
+_SHORT_ROW = 32
+_ones_buffer = np.ones(0)
+
+
+def _ones(n):
+    """A read-only vector of n ones, sliced from one buffer grown on demand."""
+    global _ones_buffer
+    ones = _ones_buffer
+    if ones.size < n:
+        ones = np.ones(max(n, 2 * ones.size))
+        ones.flags.writeable = False
+        _ones_buffer = ones
+    return ones[:n]
+
+
+def _row_sum(x):
+    """Sum over the last axis, kept as an axis of length 1."""
+    n = x.shape[-1]
+    if x.size < _MANY_ROWS * n:
+        return np.add.reduce(x, axis=-1, keepdims=True)
+    return np.dot(x.reshape(-1, n), _ones(n)).reshape(x.shape[:-1] + (1,))
+
+
+def _col_sum(x2):
+    """Sum over the rows of a 2-D array."""
+    return np.dot(_ones(x2.shape[0]), x2)
+
+
+def _row_max(x):
+    """Max over the last axis, kept as an axis of length 1."""
+    n = x.shape[-1]
+    if x.size < _MANY_ROWS * n or n > _SHORT_ROW:
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
+    return np.maximum.reduce(x.reshape(-1, n).T.copy(), axis=0).reshape(x.shape[:-1] + (1,))
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
@@ -193,7 +243,10 @@ def add(a, b):
     def backward():
         g = out.grad
         _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        gb = _unbroadcast(g, b.data.shape)
+        if gb is a.grad and b.requires_grad:
+            gb = gb.copy()  # a adopted out.grad; b gets its own array
+        _accumulate(b, gb)
 
     out = _finish("add", (a, b), out_data, backward)
     return out
@@ -269,7 +322,7 @@ def linear(x, w, b=None):
     """``x @ w`` for a 2-D weight ``w``, plus ``b`` over its columns when a bias is given.
 
     The leading axes of ``x`` fold into one GEMM, forward and for each
-    gradient; the bias gradient is one sum over the folded rows.
+    gradient; the bias gradient is one column sum over the folded rows.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0] \
@@ -291,7 +344,7 @@ def linear(x, w, b=None):
         if w.requires_grad:
             _accumulate(w, x2.T @ g2)
         if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
+            _accumulate(b, _col_sum(g2))
 
     out = _finish("linear", (x, w) if b is None else (x, w, b), out_data, backward)
     return out
@@ -316,14 +369,14 @@ def transpose(a, axes=None):
 def softmax(a):
     """Softmax over the last axis."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = a.data - _row_max(a.data)
+    np.exp(out_data, out=out_data)
+    out_data /= _row_sum(out_data)
 
     def backward():
         g = out.grad
         s = out.data
-        _accumulate(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
+        _accumulate(a, s * (g - _row_sum(g * s)))
 
     out = _finish("softmax", (a,), out_data, backward)
     return out
@@ -369,12 +422,13 @@ def attention(q, k, v, heads, blocked=None):
 
     qh, kh, vh = split(q.data, sq), split(k.data, sk), split(v.data, sk)
     factor = 1.0 / math.sqrt(dh)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * factor
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    scores *= factor
     if blocked is not None:
         np.copyto(scores, _NEG_FILL, where=blocked)
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= _row_max(scores)
     weights = np.exp(scores, out=scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= _row_sum(weights)
     out_data = merge(np.matmul(weights, vh), sq)
 
     def backward():
@@ -382,8 +436,9 @@ def attention(q, k, v, heads, blocked=None):
         if v.requires_grad:
             _accumulate(v, merge(np.matmul(weights.swapaxes(-1, -2), gh), sk))
         if q.requires_grad or k.requires_grad:
-            gw = np.matmul(gh, vh.swapaxes(-1, -2))
-            gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+            gs = np.matmul(gh, vh.swapaxes(-1, -2))  # the weights' gradient, made the scores' in place
+            gs -= _row_sum(gs * weights)
+            gs *= weights
             if blocked is not None:
                 # a blocked score is a constant; in a row that sees no key its weight is not 0
                 np.copyto(gs, 0.0, where=blocked)
@@ -399,12 +454,12 @@ def attention(q, k, v, heads, blocked=None):
 
 def log_softmax(a):
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = a.data - _row_max(a.data)
+    out_data = shifted - np.log(_row_sum(np.exp(shifted)))
 
     def backward():
         g = out.grad
-        _accumulate(a, g - np.exp(out.data) * g.sum(axis=-1, keepdims=True))
+        _accumulate(a, g - np.exp(out.data) * _row_sum(g))
 
     out = _finish("log_softmax", (a,), out_data, backward)
     return out
@@ -475,25 +530,28 @@ def layer_norm(a, gain, bias):
         raise ShapeError(
             f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} must both be ({d},)"
         )
-    # sum / d is ndarray.mean's arithmetic without its per-call Python wrapper
-    mean = a.data.sum(axis=-1, keepdims=True) / d
-    centered = a.data - mean
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    mean = _row_sum(a.data) / d
+    xhat = a.data - mean
+    var = _row_sum(xhat * xhat) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv  # centered until here
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward():
         g = out.grad
         if gain.requires_grad:
-            _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            _accumulate(gain, _col_sum((g * xhat).reshape(-1, d)))
         if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, d).sum(axis=0))
+            _accumulate(bias, _col_sum(g.reshape(-1, d)))
         if a.requires_grad:
             gx = g * gain.data
-            gm = gx.sum(axis=-1, keepdims=True) / d
-            gxm = (gx * xhat).sum(axis=-1, keepdims=True) / d
-            _accumulate(a, inv * (gx - gm - xhat * gxm))
+            gm = _row_sum(gx) / d
+            gxm = _row_sum(gx * xhat) / d
+            gx -= gm
+            gx -= xhat * gxm
+            gx *= inv
+            _accumulate(a, gx)
 
     out = _finish("layer_norm", (a, gain, bias), out_data, backward)
     return out
@@ -512,10 +570,12 @@ def embedding(table, ids):
     out_data = table.data[ids]
 
     def backward():
-        g = out.grad
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        _accumulate(table, gt)
+        # one bincount over the flattened (id, column) cells adds the rows of
+        # repeated ids in the order np.add.at would, without its scatter
+        rows, d = table.data.shape
+        cells = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        gt = np.bincount(cells, weights=out.grad.reshape(-1), minlength=rows * d)
+        _accumulate(table, gt.reshape(rows, d))
 
     out = _finish("embedding", (table,), out_data, backward)
     return out

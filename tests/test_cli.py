@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from safa import cli
-from safa.corpus import load_video_features, save_similarity_matrix, save_video_features
+from safa.corpus import load_video_features, save_video_features
+from test_corpus import save_similarity_matrix
 
 
 CORPUS = """\
@@ -291,6 +292,34 @@ def test_decode_config_with_wrong_frames_per_clip_names_the_config(tmp_path, cap
     assert _run(*decode_args) == 1
     err = capsys.readouterr().err
     assert str(wrong) in err and "(6, 4)" in err
+
+
+def test_invalid_model_config_exits_one_naming_the_file(tmp_path, capsys):
+    synth_dir, decode_args = _train_tiny_model(tmp_path)
+    cfg_path = decode_args[decode_args.index("--model-config") + 1]
+    text = cfg_path.read_text(encoding="utf-8")
+    assert "heads = 2\n" in text and "d_model = 8\n" in text
+    bad_texts = {
+        "heads0.cfg": text.replace("heads = 2\n", "heads = 0\n"),
+        "fractional.cfg": text.replace("d_model = 8\n", "d_model = 8.5\n"),
+        "unknown.cfg": text + "bogus = 1\n",
+    }
+    train_args = [
+        "train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+        "--features", synth_dir / "features", "--out", tmp_path / "again.ckpt",
+        "--vocab-min-count", 1, "--max-steps", 1,
+    ]
+    for name, bad_text in bad_texts.items():
+        bad = tmp_path / name
+        bad.write_text(bad_text, encoding="utf-8")
+        args = list(decode_args)
+        args[args.index(cfg_path)] = bad
+        # the decode and train readers of --model-config
+        for argv in (args, train_args + ["--model-config", bad]):
+            capsys.readouterr()
+            assert _run(*argv) == 1, (name, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: "), err
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

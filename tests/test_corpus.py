@@ -30,11 +30,19 @@ from safa.corpus import (
     normalize_text,
     parse_corpus,
     parse_vote_file,
-    save_similarity_matrix,
     save_video_features,
     select_ambiguous_sets,
     write_corpus,
 )
+
+
+def save_similarity_matrix(path, matrix):
+    """Write the 'SIM v1 <n>' format that ``load_similarity_matrix`` reads."""
+    matrix = np.asarray(matrix)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"SIM v1 {matrix.shape[0]}\n")
+        for row in matrix:
+            f.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def rec(i, source, target, video="v0", start=10_000, end=12_000):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,13 +15,17 @@ from safa.evaluation import (
     export_attention,
     hypothesis_score,
     log_normalize,
-    read_attention_dump,
     variant_config,
     write_results_table,
 )
 from safa.model import ModelConfig, ModelParameters, TextBatch, VideoFeatureBatch, decode, forward_full
 from safa.tensor import Tensor
 from safa.training import Schedule, TrainConfig, make_batches, train
+
+
+def _read_attention_dump(path):
+    with open(path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,7 @@ def test_export_attention_rows_and_bit_equality(tmp_path):
     src_vocab = type("V", (), {"tokens": [f"tok{i}" for i in range(9)]})()
     path = tmp_path / "attn.jsonl"
     export_attention(params, cfg, batch, feats, src_vocab, path)
-    dump = read_attention_dump(path)
+    dump = _read_attention_dump(path)
     assert len(dump) == 2
     assert len(dump[0]["weights"]) == 3  # padding token dropped
     assert len(dump[1]["weights"]) == 4
@@ -402,7 +407,7 @@ def test_trained_attention_peaks_at_frame_nearest_gaussian_mean(tmp_path):
     z = np.linspace(-3.0, 3.0, frames)
     nearest = int(np.argmin(np.abs(z - 1.0)))
     assert nearest == 3
-    for record in read_attention_dump(path):
+    for record in _read_attention_dump(path):
         assert int(np.argmax(record["frame_aggregate"])) == nearest
 
 
@@ -411,5 +416,5 @@ def test_export_attention_single_frame(tmp_path):
     src_vocab = type("V", (), {"tokens": [f"tok{i}" for i in range(9)]})()
     path = tmp_path / "attn.jsonl"
     export_attention(params, cfg, batch, feats, src_vocab, path)
-    for record in read_attention_dump(path):
+    for record in _read_attention_dump(path):
         assert all(row == [1.0] for row in record["weights"])

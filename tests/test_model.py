@@ -98,6 +98,55 @@ def test_config_text_round_trip():
     assert isinstance(parsed.d_model, int) and isinstance(parsed.dropout, float)
     with pytest.raises(ValueError, match="unknown key"):
         ModelConfig.from_text("bogus = 3\n")
+    with pytest.raises(ValueError, match=r"line 2: d_model must be an integer, got '8\.5'"):
+        ModelConfig.from_text("heads = 2\nd_model = 8.5\n")
+    with pytest.raises(ValueError, match="lacks src_vocab_size, tgt_vocab_size, video_feature_dim"):
+        ModelConfig.from_text("d_model = 8\n")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("heads", 0), ("d_model", 0), ("d_ffn", -1), ("src_vocab_size", 0), ("tgt_vocab_size", -2),
+    ("dropout", 1.0), ("dropout", -0.1),
+])
+def test_config_rejects_out_of_range_sizes_and_dropout(field, value):
+    kwargs = dict(src_vocab_size=10, tgt_vocab_size=10, video_feature_dim=8, d_model=8, heads=2)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(**kwargs)
+
+
+def test_position_table_is_a_read_only_view_of_fixed_values():
+    def fresh(length, d):
+        position = np.arange(length, dtype=np.float64)[:, None]
+        div = np.exp(np.arange(0, d, 2, dtype=np.float64) * (-math.log(10000.0) / d))
+        table = np.zeros((length, d))
+        table[:, 0::2] = np.sin(position * div)
+        table[:, 1::2] = np.cos(position * div)
+        return table
+
+    # short, long, then short again: every length reads the same bits as a fresh table
+    for length, d in [(3, 6), (50, 6), (7, 6), (1, 6), (120, 32), (4, 32)]:
+        table = sinusoidal_positions(length, d)
+        assert table.shape == (length, d)
+        assert table.tobytes() == fresh(length, d).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+
+def test_leaf_gradients_share_no_memory():
+    # leaves start without a gradient, so each adopts the first array a backward hands it
+    cfg = tiny_config(encoder_layers=2, decoder_layers=2, d_model=8, d_ffn=16, dropout=0.1)
+    params = ModelParameters.build(cfg, seed=4)
+    rng = np.random.default_rng(4)
+    batch, feats = make_batch(rng, cfg, b=5, flags=[True, False, True, False, False]), make_features(rng, cfg, b=5)
+    with Tape() as tape:
+        _, breakdown = forward_full(batch, feats, params, cfg, training=True, rng=np.random.default_rng(0))
+        tape.backward(breakdown.loss)
+    grads = [(name, t.grad) for name, t in params.items()]
+    assert all(g is not None for _, g in grads)
+    for i, (name_a, a) in enumerate(grads):
+        for name_b, b in grads[i + 1:]:
+            assert not np.shares_memory(a, b), (name_a, name_b)
 
 
 def test_parameters_deterministic_and_round_trip(tmp_path):

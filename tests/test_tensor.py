@@ -1,3 +1,5 @@
+import inspect
+import math
 import os
 import struct
 import threading
@@ -59,6 +61,14 @@ def test_backward_square():
         loss = T.reduce_sum(T.mul(x, x))
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, [6.0])
+
+
+def test_zero_d_leaf_gradient_is_an_array():
+    # the product of two 0-d arrays is a numpy scalar; the adopted gradient must not be
+    x, y = Tensor(np.array(3.0), requires_grad=True), Tensor(np.array(2.0), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(T.mul(x, y))
+    assert type(x.grad) is np.ndarray and x.grad.shape == () and x.grad == 2.0
 
 
 def test_backward_twice_raises():
@@ -264,6 +274,141 @@ def test_primitive_gradients_match_central_differences(name):
         fn, params = _fd_case(name, rng)
         worst = max(worst, check_gradients(fn, params, epsilon=1e-4))
     assert worst < 1e-4, f"{name}: max relative error {worst}"
+
+
+def test_every_primitive_has_a_finite_difference_case():
+    # a public function that records through _finish is a primitive
+    recorded = {
+        name for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
+        and "_finish" in fn.__code__.co_names
+    }
+    assert recorded == set(PRIMITIVE_NAMES)
+
+
+def test_add_operands_with_further_gradients_match_central_differences():
+    # each leaf is used before its add, so the add's backward runs first and
+    # hands out.grad to one operand; the later contributions then land on top
+    def fn(p):
+        earlier = [T.mul(p[k], Tensor(rng_fixed(f"add-reuse-{k}"))) for k in ("a", "b", "c")]
+        y = T.mul(T.add(p["a"], p["b"]), Tensor(rng_fixed("add-reuse-y")))
+        twice = T.scale(T.add(p["c"], p["c"]), 0.3)
+        total = y
+        for term in earlier + [twice]:
+            total = T.add(total, term)
+        return T.reduce_sum(total)
+
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        params = {k: Tensor(rng.normal(size=(2, 3)), requires_grad=True) for k in ("a", "b", "c")}
+        assert check_gradients(fn, params, epsilon=1e-4) < 1e-7
+
+
+# Parent formulas of the primitives whose reductions were reworked, written
+# with numpy's own reductions; each returns (output, input gradients) for the
+# cotangent g.
+def _softmax_reference(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    return s, [s * (g - (g * s).sum(axis=-1, keepdims=True))]
+
+
+def _log_softmax_reference(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return out, [g - np.exp(out) * g.sum(axis=-1, keepdims=True)]
+
+
+def _layer_norm_reference(x, gain, bias, g):
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + 1e-5)
+    xhat = centered * inv
+    gx = g * gain
+    gm = gx.sum(axis=-1, keepdims=True) / d
+    gxm = (gx * xhat).sum(axis=-1, keepdims=True) / d
+    grads = [inv * (gx - gm - xhat * gxm), (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
+    return xhat * gain + bias, grads
+
+
+def _linear_reference(x, w, b, g):
+    x2, g2 = x.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
+    out = (x2 @ w).reshape(x.shape[:-1] + (w.shape[1],)) + b
+    return out, [(g2 @ w.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)]
+
+
+def _attention_reference(q, k, v, heads, blocked, g):
+    (b, sq, d), sk = q.shape, k.shape[1]
+    dh = d // heads
+
+    def split(x, s):
+        return x.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x, s):
+        return x.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+    qh, kh, vh, gh = split(q, sq), split(k, sk), split(v, sk), split(g, sq)
+    blocked = np.broadcast_to(blocked, (b, sq, sk))[:, None]
+    factor = 1.0 / math.sqrt(dh)
+    scores = np.where(blocked, -1e9, qh @ kh.swapaxes(-1, -2) * factor)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    gw = gh @ vh.swapaxes(-1, -2)
+    gs = np.where(blocked, 0.0, w * (gw - (gw * w).sum(axis=-1, keepdims=True))) * factor
+    grads = [merge(gs @ kh, sq), merge(gs.swapaxes(-1, -2) @ qh, sk), merge(w.swapaxes(-1, -2) @ gh, sk)]
+    return merge(w @ vh, sq), grads
+
+
+def _train_shape_case(name, rng):
+    """(primitive over input tensors, input arrays, reference) at a train batch's shapes."""
+    rows, length = 200, 3
+    if name.startswith("softmax") or name.startswith("log_softmax"):
+        # 12 frames and 7 target words take the short-row max; 40 the long-row one
+        width = int(name.split("-")[1])
+        op = T.softmax if name.startswith("softmax") else T.log_softmax
+        ref = _softmax_reference if op is T.softmax else _log_softmax_reference
+        # rows hundreds apart: shifting a row by another row's max would over- or underflow
+        x = rng.normal(scale=3.0, size=(rows, length, width)) + rng.uniform(-500, 500, size=(rows, length, 1))
+        return op, [x], ref
+    if name == "layer_norm":
+        return T.layer_norm, [rng.normal(size=(rows, length, 32)), rng.normal(size=32), rng.normal(size=32)], _layer_norm_reference
+    if name == "linear":
+        return T.linear, [rng.normal(size=(rows, length, 32)), rng.normal(size=(32, 64)), rng.normal(size=64)], _linear_reference
+    # four target queries over four source keys, the last of them padding in every other row
+    blocked = np.zeros((rows, 1, 4), dtype=bool)
+    blocked[::2, :, 3] = True
+    arrays = [rng.normal(size=(rows, 4, 32)) for _ in range(3)]
+    return (lambda q, k, v: T.attention(q, k, v, 4, blocked)), arrays, \
+        (lambda q, k, v, g: _attention_reference(q, k, v, 4, blocked, g))
+
+
+@pytest.mark.parametrize("name", [
+    "attention", "layer_norm", "linear", "log_softmax-7", "log_softmax-40", "softmax-12", "softmax-40",
+])
+def test_primitives_match_reference_formulas_at_train_shapes(name):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    op, arrays, reference = _train_shape_case(name, rng)
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*inputs)
+        cotangent = rng.normal(size=out.shape)
+        tape.backward(T.reduce_sum(T.mul(out, Tensor(cotangent))))
+    ref_out, ref_grads = reference(*arrays, cotangent)
+    np.testing.assert_allclose(out.data, ref_out, rtol=1e-12, atol=1e-12)
+    for t, ref in zip(inputs, ref_grads):
+        np.testing.assert_allclose(t.grad, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_embedding_backward_equals_scatter_add():
+    rng = np.random.default_rng(8)
+    table = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+    ids = rng.integers(0, 6, size=(40, 3))  # every id repeats; id 6 never occurs
+    cotangent = rng.normal(size=(40, 3, 5))
+    with Tape() as tape:
+        tape.backward(T.reduce_sum(T.mul(T.embedding(table, ids), Tensor(cotangent))))
+    expected = np.zeros((7, 5))
+    np.add.at(expected, ids.reshape(-1), cotangent.reshape(-1, 5))
+    assert table.grad.tobytes() == expected.tobytes()
 
 
 def test_attention_nan_input_names_attention():
