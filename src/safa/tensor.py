@@ -187,44 +187,38 @@ def _as_tensor(x):
 
 # numpy reduces the last axis of a C-ordered array one row at a time, about
 # 60 ns a row when rows hold 3-12 values, as attention scores do. With many
-# rows, a sum is one BLAS matrix-vector product with a ones vector, and the
-# max of short rows one reduction across the rows of a transposed copy.
-# Below _MANY_ROWS rows numpy's per-row cost is under those calls' fixed
-# cost; from about 64 values a row numpy's max vectorizes along the row.
+# short rows, a sum is one BLAS matrix-vector product with a ones vector, and
+# a max one reduction across the rows of a transposed copy. Below _MANY_ROWS
+# rows numpy's per-row cost is under those calls' fixed cost, and rows longer
+# than _SHORT_ROW values (a vocabulary-wide log_softmax) keep numpy's own
+# reductions, which vectorize along the row.
 _MANY_ROWS = 64
 _SHORT_ROW = 32
-_ones_buffer = np.ones(0)
 
 
-def _ones(n):
-    """A read-only vector of n ones, sliced from one buffer grown on demand."""
-    global _ones_buffer
-    ones = _ones_buffer
-    if ones.size < n:
-        ones = np.ones(max(n, 2 * ones.size))
-        ones.flags.writeable = False
-        _ones_buffer = ones
-    return ones[:n]
+def _many_short_rows(x):
+    n = x.shape[-1]
+    return n <= _SHORT_ROW and x.size >= _MANY_ROWS * n
 
 
 def _row_sum(x):
     """Sum over the last axis, kept as an axis of length 1."""
-    n = x.shape[-1]
-    if x.size < _MANY_ROWS * n:
+    if not _many_short_rows(x):
         return np.add.reduce(x, axis=-1, keepdims=True)
-    return np.dot(x.reshape(-1, n), _ones(n)).reshape(x.shape[:-1] + (1,))
+    n = x.shape[-1]
+    return np.dot(x.reshape(-1, n), np.ones(n)).reshape(x.shape[:-1] + (1,))
 
 
 def _col_sum(x2):
     """Sum over the rows of a 2-D array."""
-    return np.dot(_ones(x2.shape[0]), x2)
+    return np.dot(np.ones(x2.shape[0]), x2)
 
 
 def _row_max(x):
     """Max over the last axis, kept as an axis of length 1."""
-    n = x.shape[-1]
-    if x.size < _MANY_ROWS * n or n > _SHORT_ROW:
+    if not _many_short_rows(x):
         return np.maximum.reduce(x, axis=-1, keepdims=True)
+    n = x.shape[-1]
     return np.maximum.reduce(x.reshape(-1, n).T.copy(), axis=0).reshape(x.shape[:-1] + (1,))
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from safa import cli
 from safa.corpus import load_video_features, save_video_features
-from test_corpus import save_similarity_matrix
 
 
 CORPUS = """\
@@ -117,7 +116,7 @@ def test_transets_and_flags(corpus, tmp_path):
     ]
 
 
-def test_ambiguous_with_matrix_scorer(corpus, tmp_path):
+def test_ambiguous_with_matrix_scorer(corpus, tmp_path, save_similarity_matrix):
     n = 4
     cross = np.zeros((n, n))
     cross[:, 0] = 0.9   # target of a1 ("go now") is strongly parallel

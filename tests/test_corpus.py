@@ -36,15 +36,6 @@ from safa.corpus import (
 )
 
 
-def save_similarity_matrix(path, matrix):
-    """Write the 'SIM v1 <n>' format that ``load_similarity_matrix`` reads."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"SIM v1 {matrix.shape[0]}\n")
-        for row in matrix:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 def rec(i, source, target, video="v0", start=10_000, end=12_000):
     return SubtitleRecord(
         id=f"r{i:04d}", source_text=source, target_text=target,
@@ -524,7 +515,7 @@ def test_baseline_similarity_hand_computed():
     assert baseline_similarity("abc", "abd") == pytest.approx(0.4, abs=1e-12)
 
 
-def test_similarity_matrix_round_trip_and_scorer(tmp_path):
+def test_similarity_matrix_round_trip_and_scorer(tmp_path, save_similarity_matrix):
     records = [rec(0, "s0", "t0"), rec(1, "s1", "t1")]
     matrix = np.array([[1.0, 0.25], [0.5, 0.75]])
     path = tmp_path / "m.sim"
