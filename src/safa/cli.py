@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -299,32 +300,39 @@ _MODEL_OVERRIDES = (
 )
 
 
-def _read_model_config(path):
-    """Parse a ``key = value`` model config; an invalid one is an input error naming the file."""
+@contextmanager
+def _naming(path):
+    """Turn a ValueError raised inside into an input error that names ``path``."""
     try:
-        return ModelConfig.from_text(Path(path).read_text(encoding="utf-8"))
+        yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _read_model_config(path):
+    """Parse a full ``key = value`` model config, as ``train`` writes beside a checkpoint."""
+    with _naming(path):
+        return ModelConfig.from_text(Path(path).read_text(encoding="utf-8"))
+
+
 def _resolve_model_config(args, src_vocab, tgt_vocab, features):
-    """Precedence: command-line flags > config file > defaults."""
-    kwargs = {}
-    if args.model_config:
-        file_cfg = _read_model_config(args.model_config)
-        kwargs = {k: getattr(file_cfg, k) for k in _MODEL_OVERRIDES}
-    for key in _MODEL_OVERRIDES:
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = value
+    """Flags beat the --model-config file, which beats the defaults.
+
+    The file may set any subset of keys. The data decides the vocabulary
+    sizes and the clip shape; a file value that disagrees is an error.
+    """
     sample = next(iter(features.values()))
-    return ModelConfig(
-        src_vocab_size=len(src_vocab),
-        tgt_vocab_size=len(tgt_vocab),
-        video_feature_dim=sample.shape[1],
-        frames_per_clip=sample.shape[0],
-        **kwargs,
-    )
+    data = {"src_vocab_size": len(src_vocab), "tgt_vocab_size": len(tgt_vocab),
+            "frames_per_clip": sample.shape[0], "video_feature_dim": sample.shape[1]}
+    flags = {key: getattr(args, key) for key in _MODEL_OVERRIDES if getattr(args, key) is not None}
+    if not args.model_config:
+        return ModelConfig(**data, **flags)
+    with _naming(args.model_config):
+        kwargs = ModelConfig.parse_text(Path(args.model_config).read_text(encoding="utf-8"))
+        for key, value in data.items():
+            if kwargs.setdefault(key, value) != value:
+                raise ValueError(f"{key} is {kwargs[key]}, but the data gives {value}")
+        return ModelConfig(**{**kwargs, **flags})
 
 
 def _add_model_flags(parser):

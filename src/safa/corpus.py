@@ -368,7 +368,10 @@ def parse_vote_file(path):
             parts = line.split(",")
             if len(parts) != 4:
                 raise CorpusParseError(f"{path}:{lineno}: expected 4 comma-separated fields")
-            votes.append(VoteRecord(*parts))
+            try:
+                votes.append(VoteRecord(*parts))
+            except ValueError as exc:
+                raise CorpusParseError(f"{path}:{lineno}: {exc}") from None
     return votes
 
 
@@ -547,13 +550,18 @@ def load_similarity_matrix(path):
     """Read the 'SIM v1 <n>' header then n*n space-separated reals, row-major."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
-        if len(header) != 3 or header[0] != "SIM" or header[1] != "v1":
-            raise CorpusParseError(f"{path}:1: expected header 'SIM v1 <n>'")
+        if len(header) != 3 or header[:2] != ["SIM", "v1"] or not header[2].isdecimal():
+            raise CorpusParseError(
+                f"{path}:1: expected header 'SIM v1 <n>' with n >= 0, got {' '.join(header)!r}"
+            )
         n = int(header[2])
         values = f.read().split()
     if len(values) != n * n:
         raise CorpusParseError(f"{path}: expected {n * n} values, found {len(values)}")
-    return np.array(values, dtype=np.float64).reshape(n, n)
+    try:
+        return np.array(values, dtype=np.float64).reshape(n, n)
+    except ValueError as exc:
+        raise CorpusParseError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

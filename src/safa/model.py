@@ -67,7 +67,8 @@ class ModelConfig:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
 
     @classmethod
-    def from_text(cls, text):
+    def parse_text(cls, text):
+        """The typed values of the ``key = value`` lines of ``text``, any subset of the fields."""
         types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -86,6 +87,12 @@ class ModelConfig:
             except ValueError:
                 kind = "an integer" if wants_int else "a number"
                 raise ValueError(f"config line {lineno}: {key} must be {kind}, got {value!r}") from None
+        return kwargs
+
+    @classmethod
+    def from_text(cls, text):
+        """The config ``text`` sets in full: it must give every field that has no default."""
+        kwargs = cls.parse_text(text)
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
         if missing:
             raise ValueError(f"config lacks {', '.join(missing)}")
@@ -308,8 +315,11 @@ def _residual(x, sublayer, p, norm, cfg, training, rng):
 
 
 def _project_kv(x_kv, p, prefix):
-    """Keys and values of one attention sublayer, each (B, S, d_model)."""
-    k = T.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    """Keys and values of one attention sublayer, each (B, S, d_model).
+
+    The key bias ``bk`` is not read: the softmax cancels the q·bk it adds to a query's scores.
+    """
+    k = T.linear(x_kv, p[f"{prefix}.wk"])
     v = T.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
     return k, v
 
@@ -467,13 +477,16 @@ def _ffn_block(x, p, prefix):
 _PROB_FLOOR = 1e-12
 
 
-def _masked_mean(per_token, mask, side):
-    """Per-sample mean of (B, S) ``per_token`` over the positions ``mask`` keeps, shape (B,)."""
-    counts = mask.sum(axis=1)
+def _mean_weights(mask, side):
+    """(B, S) weights: summed against (B, S) values, each sample's mean over the kept positions."""
+    counts = mask.sum(axis=1, keepdims=True)
     if (counts == 0).any():
         raise DegenerateSampleError(f"sample with all {side} positions masked")
-    masked = T.mul(per_token, Tensor(mask.astype(np.float64)))
-    return T.mul(T.reduce_sum(masked, axis=-1), Tensor(1.0 / counts))
+    return mask / counts
+
+
+def _weighted_sum(x, weights, axis=None):
+    return T.reduce_sum(T.mul(x, Tensor(weights)), axis=axis)
 
 
 def label_smoothed_loss(logits, targets, mask, smoothing):
@@ -482,11 +495,8 @@ def label_smoothed_loss(logits, targets, mask, smoothing):
     Per token: (1 - eps) * NLL(target) + eps * mean over the vocabulary of
     per-class NLL; then the mean over unmasked tokens of each sample.
     """
-    logp = T.log_softmax(logits)
-    nll = T.scale(T.take_index(logp, targets), -1.0)
-    smooth = T.scale(T.reduce_mean(logp, axis=-1), -1.0)
-    per_token = T.add(T.scale(nll, 1.0 - smoothing), T.scale(smooth, smoothing))
-    return _masked_mean(per_token, mask, "target")
+    per_token = T.smoothed_cross_entropy(logits, targets, smoothing)
+    return _weighted_sum(per_token, _mean_weights(mask, "target"), axis=-1)
 
 
 def gaussian_target(frames, halfwidth, mean, std, temperature):
@@ -514,16 +524,16 @@ def frame_attention_loss(frame_attention, target, mask):
     """
     log_q = Tensor(np.log(np.maximum(np.asarray(target, dtype=np.float64), _PROB_FLOOR)))
     log_p = T.log(frame_attention, floor=_PROB_FLOOR)
-    kl_tok = T.reduce_sum(T.mul(frame_attention, T.sub(log_p, log_q)), axis=-1)
-    return T.reduce_mean(_masked_mean(kl_tok, mask, "source"))
+    kl = T.mul(frame_attention, T.sub(log_p, log_q))  # (B, S, M); a token's KL sums its row
+    return _weighted_sum(kl, _mean_weights(mask, "source")[..., None] / mask.shape[0])
 
 
 def total_loss(per_sample_losses, flags, frame_loss, cfg):
     """Combine group-weighted translation losses with the frame-attention term.
 
-    The possibly-ambiguous group's mean is multiplied by ambiguity_weight;
-    an empty group contributes zero. With no flagged samples the translation
-    term reduces to the plain batch mean.
+    The possibly-ambiguous group's mean is multiplied by ambiguity_weight: a
+    sample weighs ambiguity_weight / n_ambiguous if flagged, 1 / n_unambiguous
+    if not. With no flagged samples the translation term is the batch mean.
     """
     flags = np.asarray(flags, dtype=bool)
     if flags.shape != per_sample_losses.data.shape:
@@ -532,12 +542,8 @@ def total_loss(per_sample_losses, flags, frame_loss, cfg):
         )
     ambiguous = int(flags.sum())
     unambiguous = int(flags.size - ambiguous)
-    translation = None
-    for members, count, weight in ((flags, ambiguous, cfg.ambiguity_weight), (~flags, unambiguous, 1.0)):
-        if count:
-            group = T.reduce_sum(T.mul(per_sample_losses, Tensor(members.astype(np.float64))))
-            group = T.scale(group, weight / count)
-            translation = group if translation is None else T.add(translation, group)
+    weights = np.where(flags, cfg.ambiguity_weight, 1.0) / np.where(flags, ambiguous, unambiguous)
+    translation = _weighted_sum(per_sample_losses, weights)
     total = T.add(translation, T.scale(frame_loss, cfg.frame_loss_weight))
     return BatchLossBreakdown(
         translation_loss=translation.item(),

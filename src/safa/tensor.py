@@ -2,9 +2,9 @@
 
 Every primitive validates shapes, refuses non-finite outputs, and (when a
 Tape is active) records one backward closure, run once by ``Tape.backward``.
-The model's layers are a few fused primitives (``linear``, ``attention``,
-the affine ``layer_norm``), so a forward records few tape entries. No GPU:
-values are plain numpy arrays.
+The model's layers and its loss are a few fused primitives (``linear``,
+``attention``, the affine ``layer_norm``, ``smoothed_cross_entropy``), so a
+forward records few tape entries. No GPU: values are plain numpy arrays.
 """
 
 import math
@@ -190,7 +190,7 @@ def _as_tensor(x):
 # short rows, a sum is one BLAS matrix-vector product with a ones vector, and
 # a max one reduction across the rows of a transposed copy. Below _MANY_ROWS
 # rows numpy's per-row cost is under those calls' fixed cost, and rows longer
-# than _SHORT_ROW values (a vocabulary-wide log_softmax) keep numpy's own
+# than _SHORT_ROW values (a vocabulary-wide cross-entropy) keep numpy's own
 # reductions, which vectorize along the row.
 _MANY_ROWS = 64
 _SHORT_ROW = 32
@@ -236,11 +236,12 @@ def add(a, b):
 
     def backward():
         g = out.grad
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        gb = _unbroadcast(g, b.data.shape)
-        if gb is a.grad and b.requires_grad:
-            gb = gb.copy()  # a adopted out.grad; b gets its own array
-        _accumulate(b, gb)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.data.shape)
+            # when a adopted out.grad itself, b gets its own array
+            _accumulate(b, gb.copy() if gb is a.grad else gb)
 
     out = _finish("add", (a, b), out_data, backward)
     return out
@@ -255,8 +256,10 @@ def sub(a, b):
 
     def backward():
         g = out.grad
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     out = _finish("sub", (a, b), out_data, backward)
     return out
@@ -271,8 +274,10 @@ def mul(a, b):
 
     def backward():
         g = out.grad
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     out = _finish("mul", (a, b), out_data, backward)
     return out
@@ -446,16 +451,41 @@ def attention(q, k, v, heads, blocked=None):
     return out
 
 
-def log_softmax(a):
-    a = _as_tensor(a)
-    shifted = a.data - _row_max(a.data)
-    out_data = shifted - np.log(_row_sum(np.exp(shifted)))
+def smoothed_cross_entropy(logits, targets, smoothing):
+    """Per-position label-smoothed cross-entropy of ``logits`` (..., V) at integer ``targets`` (...).
+
+    With q = (1 - smoothing) on the target plus smoothing / V on every class,
+    a position's loss is -sum_c q_c log softmax(logits)_c, that is
+    (1 - smoothing) NLL(target) + smoothing * mean_c NLL(c). Its gradient is
+    ``g * (softmax - q)``; the softmax is the one logits-sized array kept
+    for backward, which turns it into the gradient in place.
+    """
+    logits, targets = _as_tensor(logits), np.asarray(targets)
+    x = logits.data
+    if x.ndim < 1 or targets.shape != x.shape[:-1]:
+        raise ShapeError(f"smoothed_cross_entropy: target shape {targets.shape} is not logits {x.shape}[:-1]")
+    v = x.shape[-1]
+    if targets.size and (targets.min() < 0 or targets.max() >= v):
+        raise ShapeError(f"smoothed_cross_entropy: target id out of range [0, {v})")
+    smoothing = float(smoothing)
+    rows, cols = np.arange(targets.size), targets.reshape(-1)
+    x2 = x.reshape(-1, v)
+    shifted = x2 - _row_max(x2)
+    picked = shifted[rows, cols]
+    mean = _row_sum(shifted)[:, 0] / v
+    probs = np.exp(shifted, out=shifted)
+    total = _row_sum(probs)
+    probs /= total
+    out_data = np.log(total[:, 0]) - (1.0 - smoothing) * picked - smoothing * mean
 
     def backward():
-        g = out.grad
-        _accumulate(a, g - np.exp(out.data) * _row_sum(g))
+        ga = probs  # only this backward reads the softmax
+        ga -= smoothing / v
+        ga[rows, cols] -= 1.0 - smoothing
+        ga *= out.grad.reshape(-1, 1)
+        _accumulate(logits, ga.reshape(x.shape))
 
-    out = _finish("log_softmax", (a,), out_data, backward)
+    out = _finish("smoothed_cross_entropy", (logits,), out_data.reshape(targets.shape), backward)
     return out
 
 
@@ -575,30 +605,6 @@ def embedding(table, ids):
     return out
 
 
-def take_index(a, ids):
-    """Gather along the last axis: out[...] = a[..., ids[...]]."""
-    a = _as_tensor(a)
-    ids = np.asarray(ids)
-    if ids.shape != a.data.shape[:-1]:
-        raise ShapeError(
-            f"take_index: index shape {ids.shape} must equal data shape {a.data.shape} minus last axis"
-        )
-    if ids.size and (ids.min() < 0 or ids.max() >= a.data.shape[-1]):
-        raise ShapeError(f"take_index: id out of range [0, {a.data.shape[-1]})")
-    expanded = ids[..., None]
-    out_data = np.take_along_axis(a.data, expanded, axis=-1)[..., 0]
-
-    def backward():
-        g = out.grad
-        ga = np.zeros_like(a.data)
-        # one index per row, so no collisions to accumulate
-        np.put_along_axis(ga, expanded, g[..., None], axis=-1)
-        _accumulate(a, ga)
-
-    out = _finish("take_index", (a,), out_data, backward)
-    return out
-
-
 def dropout(a, rate, mask):
     """Inverted dropout with a caller-supplied keep mask (True keeps).
 
@@ -636,21 +642,6 @@ def reduce_sum(a, axis=None):
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     out = _finish("reduce_sum", (a,), out_data, backward)
-    return out
-
-
-def reduce_mean(a, axis=None):
-    a = _as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out_data = a.data.mean(axis=axis)
-
-    def backward():
-        g = out.grad
-        if axis is not None:
-            g = np.expand_dims(g, axis=axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
-
-    out = _finish("reduce_mean", (a,), out_data, backward)
     return out
 
 

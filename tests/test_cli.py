@@ -163,6 +163,19 @@ def test_votes_alpha_splits(corpus, tmp_path, capsys):
     assert sorted((rows["a1"], rows["a4"])) == ["test", "validation"]
 
 
+def test_malformed_votes_and_similarity_header_name_the_file(corpus, tmp_path, capsys):
+    votes = tmp_path / "votes.csv"
+    votes.write_text(VOTES.replace("a2,second,w2,none", "a2,second,w2,nope"), encoding="utf-8")
+    assert _run("pipeline", "votes", "--in", votes, "--out", tmp_path / "decisions.csv") == 1
+    assert f"error: {votes}:6: task a2: choice" in capsys.readouterr().err
+
+    matrix = tmp_path / "cross.sim"
+    matrix.write_text("SIM v1 two\n", encoding="utf-8")
+    assert _run("pipeline", "ambiguous", "--in", corpus, "--out", tmp_path / "ambiguous.jsonl",
+                "--scorer", "matrix", "--cross-matrix", matrix, "--target-matrix", matrix) == 1
+    assert f"error: {matrix}:1: expected header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ["a1,True", "a2,yes", "a3"])
 def test_decisions_with_a_bad_row_name_the_line(corpus, tmp_path, capsys, row):
     decisions = tmp_path / "decisions.csv"
@@ -319,6 +332,38 @@ def test_invalid_model_config_exits_one_naming_the_file(tmp_path, capsys):
             assert _run(*argv) == 1, (name, argv[0])
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad}: "), err
+
+
+def test_train_model_config_may_set_any_keys_and_flags_win(tmp_path, capsys):
+    synth_dir, _ = _train_tiny_model(tmp_path)
+    train_args = [
+        "train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+        "--features", synth_dir / "features", "--vocab-min-count", 1, "--max-steps", 1,
+        "--encoder-layers", 1, "--decoder-layers", 1, "--d-ffn", 16,
+    ]
+
+    def trained_config(text, *flags):
+        path = tmp_path / "given.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "again.ckpt"
+        assert _run(*train_args, "--out", out, "--model-config", path, *flags) == 0
+        return (tmp_path / "again.ckpt.cfg").read_text(encoding="utf-8")
+
+    # a partial file: its keys over the defaults, the sizes from the data
+    written = trained_config("d_model = 16\n")
+    assert "d_model = 16\n" in written and "heads = 4\n" in written
+    assert "frames_per_clip = 6\n" in written and "video_feature_dim = 4\n" in written
+    # a key that is no flag is kept, and a flag beats the file
+    written = trained_config("d_model = 16\ngaussian_std = 2.0\nheads = 4\n", "--d-model", 8, "--heads", 2)
+    assert "gaussian_std = 2.0\n" in written and "d_model = 8\n" in written and "heads = 2\n" in written
+
+    # a size the data decides must agree with it
+    bad = tmp_path / "frames.cfg"
+    bad.write_text("d_model = 16\nframes_per_clip = 7\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _run(*train_args, "--out", tmp_path / "bad.ckpt", "--model-config", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: frames_per_clip is 7, but the data gives 6"), err
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import struct
 import threading
 
@@ -314,6 +315,14 @@ def test_vote_file_parsing(tmp_path):
         parse_vote_file(bad)
 
 
+@pytest.mark.parametrize("row", ["t1,third,w2,first", "t1,first,w2,maybe"])
+def test_vote_with_a_bad_owner_or_choice_names_the_line(tmp_path, row):
+    path = tmp_path / "votes.csv"
+    path.write_text(f"task_id,clip_owner,worker_id,choice\nt1,first,w1,first\n{row}\n")
+    with pytest.raises(CorpusParseError, match=re.escape(f"{path}:3: task t1")):
+        parse_vote_file(path)
+
+
 def test_alpha_perfect_agreement_is_exactly_one():
     ratings = {f"u{i}": ["yes", "yes", "yes"] for i in range(10)}
     assert krippendorff_alpha(ratings) == 1.0
@@ -529,6 +538,21 @@ def test_similarity_matrix_round_trip_and_scorer(tmp_path, save_similarity_matri
     assert cross("s1", "t0") == 0.5
     with pytest.raises(KeyError):
         cross("unknown text", "t0")
+
+
+@pytest.mark.parametrize("header", ["SIM v1 two", "SIM v1 -2", "SIM v1 2.0", "SIM v2 2", "SIM v1"])
+def test_malformed_similarity_header_names_the_file(tmp_path, header):
+    path = tmp_path / "bad.sim"
+    path.write_text(f"{header}\n1 0\n0 1\n")  # four values, as many as n = 2 or n = -2 asks for
+    with pytest.raises(CorpusParseError, match=re.escape(f"{path}:1: expected header 'SIM v1 <n>'")):
+        load_similarity_matrix(path)
+
+
+def test_non_numeric_similarity_value_names_the_file(tmp_path):
+    path = tmp_path / "bad.sim"
+    path.write_text("SIM v1 2\n1 0.5\nhigh 1\n")
+    with pytest.raises(CorpusParseError, match=re.escape(f"{path}: could not convert")):
+        load_similarity_matrix(path)
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,28 @@ def test_leaf_gradients_share_no_memory():
     with Tape() as tape:
         _, breakdown = forward_full(batch, feats, params, cfg, training=True, rng=np.random.default_rng(0))
         tape.backward(breakdown.loss)
-    grads = [(name, t.grad) for name, t in params.items()]
-    assert all(g is not None for _, g in grads)
+    # the key biases are not read, so they get no gradient
+    assert all((t.grad is None) == name.endswith(".bk") for name, t in params.items())
+    grads = [(name, t.grad) for name, t in params.items() if t.grad is not None]
     for i, (name_a, a) in enumerate(grads):
         for name_b, b in grads[i + 1:]:
             assert not np.shares_memory(a, b), (name_a, name_b)
+
+
+def test_key_biases_leave_the_loss_bit_identical():
+    # a key bias adds q·bk to every score of a query's row, which the softmax cancels
+    cfg = tiny_config(encoder_layers=2, decoder_layers=2, d_model=8, d_ffn=16)
+    params = ModelParameters.build(cfg, seed=6)
+    rng = np.random.default_rng(6)
+    batch, feats = make_batch(rng, cfg, b=3, flags=[True, False, False]), make_features(rng, cfg, b=3)
+    base = forward_full(batch, feats, params, cfg)[1].loss.data.tobytes()
+    biases = [name for name in params.tensors if name.endswith(".bk")]
+    assert len(biases) == 6
+    for name in biases:
+        for i in range(cfg.d_model):
+            moved = params.copy()
+            moved[name].data[i] += rng.normal()
+            assert forward_full(batch, feats, moved, cfg)[1].loss.data.tobytes() == base, (name, i)
 
 
 def test_parameters_deterministic_and_round_trip(tmp_path):

@@ -165,9 +165,14 @@ def _fd_case(name, rng):
     if name == "softmax":
         a = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         return lambda p: T.reduce_sum(T.mul(T.softmax(p["a"]), Tensor(rng_fixed(name, (2, 5))))), {"a": a}
-    if name == "log_softmax":
-        a = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.log_softmax(p["a"]), Tensor(rng_fixed(name, (2, 5))))), {"a": a}
+    if name.startswith("smoothed_cross_entropy"):
+        smoothing = 0.0 if name.endswith("-unsmoothed") else 0.1
+        a = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+        ids = rng.integers(0, 5, size=(2, 4))
+        keep = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])  # the second row ends in padding
+        ids[keep == 0] = 0  # the padding id
+        weights = keep * rng_fixed(name, (2, 4))
+        return lambda p: T.reduce_sum(T.mul(T.smoothed_cross_entropy(p["a"], ids, smoothing), Tensor(weights))), {"a": a}
     if name == "log":
         a = Tensor(rng.random(size=(2, 4)) + 0.5, requires_grad=True)
         return lambda p: T.reduce_sum(T.log(p["a"], floor=1e-12)), {"a": a}
@@ -204,10 +209,6 @@ def _fd_case(name, rng):
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = rng.integers(0, 5, size=(2, 4))
         return lambda p: T.reduce_sum(T.mul(T.embedding(p["t"], ids), Tensor(rng_fixed(name, (2, 4, 3))))), {"t": table}
-    if name == "take_index":
-        a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        ids = rng.integers(0, 5, size=(3,))
-        return lambda p: T.reduce_sum(T.mul(T.take_index(p["a"], ids), Tensor(rng_fixed(name, (3,))))), {"a": a}
     if name == "dropout":
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         mask = rng.random(size=(3, 4)) > 0.4
@@ -215,9 +216,6 @@ def _fd_case(name, rng):
     if name == "reduce_sum":
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         return lambda p: T.reduce_sum(T.mul(T.reduce_sum(p["a"], axis=1), Tensor(rng_fixed(name, (2, 4))))), {"a": a}
-    if name == "reduce_mean":
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.reduce_mean(p["a"], axis=-1), Tensor(rng_fixed(name, (2, 3))))), {"a": a}
     raise AssertionError(f"no finite-difference case for primitive {name!r}")
 
 
@@ -258,12 +256,14 @@ def rng_fixed(name, shape=(2, 3)):
 
 
 PRIMITIVE_NAMES = (
-    "add", "attention", "dropout", "embedding", "layer_norm", "linear", "log", "log_softmax",
-    "matmul", "mul", "reduce_mean", "reduce_sum", "relu", "scale", "sigmoid", "softmax",
-    "sub", "take_index", "transpose",
+    "add", "attention", "dropout", "embedding", "layer_norm", "linear", "log", "matmul", "mul",
+    "reduce_sum", "relu", "scale", "sigmoid", "smoothed_cross_entropy", "softmax", "sub", "transpose",
 )
 # further cases of the fused primitives
-FUSED_VARIANTS = ("attention-cached-step", "attention-causal", "linear-2d", "linear-nobias")
+FUSED_VARIANTS = (
+    "attention-cached-step", "attention-causal", "linear-2d", "linear-nobias",
+    "smoothed_cross_entropy-unsmoothed",
+)
 
 
 @pytest.mark.parametrize("name", PRIMITIVE_NAMES + FUSED_VARIANTS)
@@ -313,10 +313,16 @@ def _softmax_reference(x, g):
     return s, [s * (g - (g * s).sum(axis=-1, keepdims=True))]
 
 
-def _log_softmax_reference(x, g):
+def _smoothed_cross_entropy_reference(x, targets, smoothing, g):
+    # the former log_softmax, take_index and reduce_mean primitives, and log_softmax's backward
     shifted = x - x.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return out, [g - np.exp(out) * g.sum(axis=-1, keepdims=True)]
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    out = (1.0 - smoothing) * nll + smoothing * -logp.mean(axis=-1)
+    q = np.full(x.shape, smoothing / x.shape[-1])
+    np.put_along_axis(q, targets[..., None], 1.0 - smoothing + smoothing / x.shape[-1], axis=-1)
+    g_logp = -g[..., None] * q
+    return out, [g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)]
 
 
 def _layer_norm_reference(x, gain, bias, g):
@@ -362,14 +368,16 @@ def _attention_reference(q, k, v, heads, blocked, g):
 def _train_shape_case(name, rng):
     """(primitive over input tensors, input arrays, reference) at a train batch's shapes."""
     rows, length = 200, 3
-    if name.startswith("softmax") or name.startswith("log_softmax"):
+    if name.startswith("softmax") or name.startswith("smoothed_cross_entropy"):
         # 12 frames and 7 target words take the short-row max; 40 the long-row one
         width = int(name.split("-")[1])
-        op = T.softmax if name.startswith("softmax") else T.log_softmax
-        ref = _softmax_reference if op is T.softmax else _log_softmax_reference
         # rows hundreds apart: shifting a row by another row's max would over- or underflow
         x = rng.normal(scale=3.0, size=(rows, length, width)) + rng.uniform(-500, 500, size=(rows, length, 1))
-        return op, [x], ref
+        if name.startswith("softmax"):
+            return T.softmax, [x], _softmax_reference
+        targets = rng.integers(0, width, size=(rows, length))
+        return (lambda a: T.smoothed_cross_entropy(a, targets, 0.1)), [x], \
+            (lambda a, g: _smoothed_cross_entropy_reference(a, targets, 0.1, g))
     if name == "layer_norm":
         return T.layer_norm, [rng.normal(size=(rows, length, 32)), rng.normal(size=32), rng.normal(size=32)], _layer_norm_reference
     if name == "linear":
@@ -383,7 +391,8 @@ def _train_shape_case(name, rng):
 
 
 @pytest.mark.parametrize("name", [
-    "attention", "layer_norm", "linear", "log_softmax-7", "log_softmax-40", "softmax-12", "softmax-40",
+    "attention", "layer_norm", "linear", "smoothed_cross_entropy-7", "smoothed_cross_entropy-40",
+    "softmax-12", "softmax-40",
 ])
 def test_primitives_match_reference_formulas_at_train_shapes(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -484,6 +493,24 @@ def test_matmul_constant_operand_keeps_no_grad():
         np.testing.assert_array_equal(only_x, ga)
 
 
+def test_elementwise_gradients_skip_constant_operands(monkeypatch):
+    # the position table added to every embedding is a constant: its gradient is never summed
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
+    const = Tensor(rng.normal(size=(3, 2)))
+    reduced = []
+    unbroadcast = T._unbroadcast
+    monkeypatch.setattr(T, "_unbroadcast", lambda g, shape: reduced.append(shape) or unbroadcast(g, shape))
+    for op, expected in ((T.add, 1.0), (T.sub, 1.0), (T.mul, const.data)):
+        for operands, sign in (((x, const), 1.0), ((const, x), -1.0 if op is T.sub else 1.0)):
+            reduced.clear()
+            x.grad = None
+            with Tape() as tape:
+                tape.backward(T.reduce_sum(op(*operands)))
+            assert reduced == [x.shape] and const.grad is None
+            np.testing.assert_array_equal(x.grad, np.broadcast_to(sign * expected, x.shape))
+
+
 def test_check_gradients_square():
     params = {"x": Tensor([3.0], requires_grad=True)}
     err = check_gradients(lambda p: T.reduce_sum(T.mul(p["x"], p["x"])), params, epsilon=1e-4)
@@ -494,20 +521,29 @@ def test_check_gradients_softmax_nll_matches_closed_form():
     rng = np.random.default_rng(42)
     logits = Tensor(rng.normal(size=(6,)), requires_grad=True)
     target = 2
-
-    def nll(p):
-        return T.scale(T.take_index(T.log_softmax(p["logits"]), np.array(target)), -1.0)
-
-    err = check_gradients(nll, {"logits": logits}, epsilon=1e-4)
-    assert err < 1e-6
-    # closed form: softmax(logits) - onehot(target)
-    with Tape() as tape:
-        logits.grad = None
-        tape.backward(nll({"logits": logits}))
     probs = np.exp(logits.data - np.logaddexp.reduce(logits.data))
-    expected = probs.copy()
-    expected[target] -= 1.0
-    np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
+    for smoothing in (0.0, 0.1):
+
+        def nll(p):
+            return T.smoothed_cross_entropy(p["logits"], np.array(target), smoothing)
+
+        err = check_gradients(nll, {"logits": logits}, epsilon=1e-4)
+        assert err < 1e-6
+        # closed form: softmax(logits) - q, with q = onehot(target) when unsmoothed
+        with Tape() as tape:
+            logits.grad = None
+            tape.backward(nll({"logits": logits}))
+        q = np.full(6, smoothing / 6)
+        q[target] += 1.0 - smoothing
+        np.testing.assert_allclose(logits.grad, probs - q, atol=1e-12)
+
+
+def test_smoothed_cross_entropy_checks_its_targets():
+    logits = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="target shape"):
+        T.smoothed_cross_entropy(logits, np.zeros((2, 4), dtype=int), 0.1)
+    with pytest.raises(ShapeError, match="out of range"):
+        T.smoothed_cross_entropy(logits, np.full((2, 3), 4), 0.1)
 
 
 def test_check_gradients_rejects_nondeterminism():
