@@ -14,12 +14,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .corpus import (
-    BOS_ID,
-    EOS_ID,
     AmbiguitySelectionConfig,
     MatrixScorer,
     Vocabulary,
@@ -52,7 +48,7 @@ from .evaluation import (
     run_synthetic_experiment,
     write_results_table,
 )
-from .model import ModelConfig, ModelParameters, TextBatch, VideoFeatureBatch
+from .model import ModelConfig, ModelParameters, VideoFeatureBatch
 from .training import (
     Schedule,
     TrainConfig,
@@ -462,13 +458,8 @@ def cmd_ablate(args):
 
 
 def cmd_attn_dump(args):
-    records, src_vocab, tgt_vocab, cfg, params, src, src_mask, feats = _load_model(args)
-    tgt, tgt_mask = pad_rows(
-        [[BOS_ID] + tgt_vocab.encode(r.target_text) + [EOS_ID] for r in records]
-    )
-    batch = TextBatch(src=src, src_mask=src_mask, tgt=tgt, tgt_mask=tgt_mask,
-                      flags=np.zeros(len(records), dtype=bool))
-    export_attention(params, cfg, batch, feats, src_vocab, args.out)
+    _, src_vocab, _, cfg, params, src, src_mask, feats = _load_model(args)
+    export_attention(params, cfg, src, src_mask, feats, src_vocab, args.out)
 
 
 def cmd_grad_check(args):

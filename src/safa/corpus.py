@@ -589,6 +589,8 @@ def load_video_features(path):
             raise CorpusParseError(f"{path}: bad magic, not a video feature file")
         header = read_exact(f, 8, path, CorpusParseError, "feature header")
         frames, dim = struct.unpack("<II", header)
+        if frames == 0 or dim == 0:
+            raise CorpusParseError(f"{path}: empty feature header: {frames} frames of dim {dim}")
         raw = read_exact(f, 4 * frames * dim, path, CorpusParseError, "feature payload")
         if f.peek(1):
             raise CorpusParseError(f"{path}: trailing bytes after the {frames}x{dim} feature payload")

@@ -395,19 +395,20 @@ def run_synthetic_experiment(exp, variants=None):
 # ---------------------------------------------------------------------------
 
 
-def export_attention(params, cfg, batch, features, src_vocab, path):
+def export_attention(params, cfg, src, src_mask, features, src_vocab, path):
     """Dump per-token frame attention and token-averaged per-frame weights.
 
     Values are written with full float64 round-trip precision, so reading
-    the file back reproduces the forward pass attention bit-for-bit.
+    the file back reproduces the forward pass attention bit-for-bit. Only
+    the encoder and the frame attention run: no target is needed.
     """
-    output, _ = forward_full(batch, features, params, cfg)
-    attention = output.frame_attention.data
+    _, frame_attention = _fuse_sources(src, src_mask, features, params, cfg)
+    attention = frame_attention.data
     with open(path, "w", encoding="utf-8") as f:
-        for i in range(batch.size):
-            keep = batch.src_mask[i]
+        for i in range(src.shape[0]):
+            keep = src_mask[i]
             rows = attention[i][keep]
-            tokens = [src_vocab.tokens[t] for t in batch.src[i][keep]]
+            tokens = [src_vocab.tokens[t] for t in src[i][keep]]
             record = {
                 "source_tokens": tokens,
                 "frames": int(attention.shape[-1]),

@@ -45,7 +45,7 @@ class ModelConfig:
     ambiguity_weight: float = 2.0
 
     def __post_init__(self):
-        for name in ("src_vocab_size", "tgt_vocab_size", "d_model", "d_ffn", "heads"):
+        for name in ("src_vocab_size", "tgt_vocab_size", "video_feature_dim", "d_model", "d_ffn", "heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 <= self.dropout < 1:
@@ -368,11 +368,10 @@ def project_video(features, p):
 def selective_attention(h_text, h_video, cfg):
     """Single-head attention from token queries to frame keys/values.
 
-    No learned projections inside the block; the scaling factor is d_model.
-    Returns (attended video per token, frame attention rows).
+    No learned projections inside the block; the scaling factor is d_model,
+    the queries' width. Returns (attended video per token, frame attention rows).
     """
-    scores = T.scale(T.matmul(h_text, T.transpose(h_video)), 1.0 / math.sqrt(cfg.d_model))
-    frame_attention = T.softmax(scores)
+    frame_attention = T.attention_weights(h_text, h_video)
     return T.matmul(frame_attention, h_video), frame_attention
 
 
@@ -474,9 +473,6 @@ def _ffn_block(x, p, prefix):
 # Losses
 # ---------------------------------------------------------------------------
 
-_PROB_FLOOR = 1e-12
-
-
 def _mean_weights(mask, side):
     """(B, S) weights: summed against (B, S) values, each sample's mean over the kept positions."""
     counts = mask.sum(axis=1, keepdims=True)
@@ -517,15 +513,9 @@ def gaussian_target(frames, halfwidth, mean, std, temperature):
 
 
 def frame_attention_loss(frame_attention, target, mask):
-    """Mean KL(attention row || target) in nats over unmasked tokens, then batch.
-
-    Probabilities are floored at 1e-12 inside the logs so an exact zero on
-    either side never produces an infinity.
-    """
-    log_q = Tensor(np.log(np.maximum(np.asarray(target, dtype=np.float64), _PROB_FLOOR)))
-    log_p = T.log(frame_attention, floor=_PROB_FLOOR)
-    kl = T.mul(frame_attention, T.sub(log_p, log_q))  # (B, S, M); a token's KL sums its row
-    return _weighted_sum(kl, _mean_weights(mask, "source")[..., None] / mask.shape[0])
+    """Mean KL(attention row || target) in nats over unmasked tokens, then batch."""
+    kl = T.kl_divergence(frame_attention, target)  # (B, S)
+    return _weighted_sum(kl, _mean_weights(mask, "source") / mask.shape[0])
 
 
 def total_loss(per_sample_losses, flags, frame_loss, cfg):

@@ -2,9 +2,9 @@
 
 Every primitive validates shapes, refuses non-finite outputs, and (when a
 Tape is active) records one backward closure, run once by ``Tape.backward``.
-The model's layers and its loss are a few fused primitives (``linear``,
-``attention``, the affine ``layer_norm``, ``smoothed_cross_entropy``), so a
-forward records few tape entries. No GPU: values are plain numpy arrays.
+The model is a few fused primitives (``linear``, ``attention``,
+``attention_weights``, the affine ``layer_norm``, ``smoothed_cross_entropy``,
+``kl_divergence``), so a forward records few tape entries. No GPU.
 """
 
 import math
@@ -349,39 +349,30 @@ def linear(x, w, b=None):
     return out
 
 
-def transpose(a, axes=None):
-    """Permute axes; default swaps the last two."""
-    a = _as_tensor(a)
-    if axes is None:
-        axes = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out_data = np.transpose(a.data, axes)
-
-    def backward():
-        _accumulate(a, np.transpose(out.grad, inverse))
-
-    out = _finish("transpose", (a,), out_data, backward)
-    return out
-
-
-def softmax(a):
-    """Softmax over the last axis."""
-    a = _as_tensor(a)
-    out_data = a.data - _row_max(a.data)
-    np.exp(out_data, out=out_data)
-    out_data /= _row_sum(out_data)
-
-    def backward():
-        g = out.grad
-        s = out.data
-        _accumulate(a, s * (g - _row_sum(g * s)))
-
-    out = _finish("softmax", (a,), out_data, backward)
-    return out
-
-
 _NEG_FILL = -1e9  # a blocked score; its softmax weight underflows to exactly 0
+
+
+def _score_softmax(qh, kh, factor, blocked):
+    """``softmax(qh khᵀ * factor)`` over the keys, with blocked scores set to -1e9 first."""
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    scores *= factor
+    if blocked is not None:
+        np.copyto(scores, _NEG_FILL, where=blocked)
+    scores -= _row_max(scores)
+    weights = np.exp(scores, out=scores)
+    weights /= _row_sum(weights)
+    return weights
+
+
+def _score_gradient(gw, weights, factor, blocked):
+    """The scores' gradient from the weights' gradient ``gw``, which it overwrites."""
+    gw -= _row_sum(gw * weights)
+    gw *= weights
+    if blocked is not None:
+        # a blocked score is a constant; in a row that sees no key its weight is not 0
+        np.copyto(gw, 0.0, where=blocked)
+    gw *= factor
+    return gw
 
 
 def attention(q, k, v, heads, blocked=None):
@@ -421,13 +412,7 @@ def attention(q, k, v, heads, blocked=None):
 
     qh, kh, vh = split(q.data, sq), split(k.data, sk), split(v.data, sk)
     factor = 1.0 / math.sqrt(dh)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2))
-    scores *= factor
-    if blocked is not None:
-        np.copyto(scores, _NEG_FILL, where=blocked)
-    scores -= _row_max(scores)
-    weights = np.exp(scores, out=scores)
-    weights /= _row_sum(weights)
+    weights = _score_softmax(qh, kh, factor, blocked)
     out_data = merge(np.matmul(weights, vh), sq)
 
     def backward():
@@ -435,19 +420,36 @@ def attention(q, k, v, heads, blocked=None):
         if v.requires_grad:
             _accumulate(v, merge(np.matmul(weights.swapaxes(-1, -2), gh), sk))
         if q.requires_grad or k.requires_grad:
-            gs = np.matmul(gh, vh.swapaxes(-1, -2))  # the weights' gradient, made the scores' in place
-            gs -= _row_sum(gs * weights)
-            gs *= weights
-            if blocked is not None:
-                # a blocked score is a constant; in a row that sees no key its weight is not 0
-                np.copyto(gs, 0.0, where=blocked)
-            gs *= factor
+            gs = _score_gradient(np.matmul(gh, vh.swapaxes(-1, -2)), weights, factor, blocked)
             if q.requires_grad:
                 _accumulate(q, merge(np.matmul(gs, kh), sq))
             if k.requires_grad:
                 _accumulate(k, merge(np.matmul(gs.swapaxes(-1, -2), qh), sk))
 
     out = _finish("attention", (q, k, v), out_data, backward)
+    return out
+
+
+def attention_weights(q, k):
+    """Single-head ``softmax(q kᵀ / sqrt(d))``, (B, Sq, Sk), of (B, Sq, d) queries over (B, Sk, d) keys."""
+    q, k = _as_tensor(q), _as_tensor(k)
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape[::2] != q.data.shape[::2]:
+        raise ShapeError(
+            f"attention_weights: queries {q.data.shape} and keys {k.data.shape} "
+            "must be (B, Sq, d), (B, Sk, d)"
+        )
+    factor = 1.0 / math.sqrt(q.data.shape[-1])
+    out_data = _score_softmax(q.data, k.data, factor, None)
+
+    def backward():
+        # out.grad is this entry's own and is dropped after this call, so it is overwritten
+        gs = _score_gradient(out.grad, out.data, factor, None)
+        if q.requires_grad:
+            _accumulate(q, np.matmul(gs, k.data))
+        if k.requires_grad:
+            _accumulate(k, np.matmul(gs.swapaxes(-1, -2), q.data))
+
+    out = _finish("attention_weights", (q, k), out_data, backward)
     return out
 
 
@@ -489,27 +491,32 @@ def smoothed_cross_entropy(logits, targets, smoothing):
     return out
 
 
-def log(a, floor=None):
-    """Natural log; with ``floor`` set, computes log(max(x, floor)).
+_PROB_FLOOR = 1e-12
 
-    Below the floor the output is constant, so the gradient there is zero.
+
+def kl_divergence(p, target):
+    """Per-row KL(p ‖ target) over the last axis of ``p``; ``target`` is one constant distribution.
+
+    Both sides are floored at 1e-12 inside the logs, so an exact zero never
+    gives an infinity. Below the floor log p is constant, so the gradient is
+    ``g * (log max(p, floor) - log max(target, floor) + [p > floor])``.
     """
-    a = _as_tensor(a)
-    if floor is None:
-        clamped = a.data
-    else:
-        clamped = np.maximum(a.data, float(floor))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(clamped)
+    p, target = _as_tensor(p), np.asarray(target, dtype=np.float64)
+    if p.data.ndim < 1 or target.shape != p.data.shape[-1:]:
+        raise ShapeError(
+            f"kl_divergence: target shape {target.shape} does not match the last axis of {p.data.shape}"
+        )
+    log_ratio = np.log(np.maximum(p.data, _PROB_FLOOR))
+    log_ratio -= np.log(np.maximum(target, _PROB_FLOOR))
+    out_data = _row_sum(p.data * log_ratio)[..., 0]
 
     def backward():
-        g = out.grad
-        if floor is None:
-            _accumulate(a, g / a.data)
-        else:
-            _accumulate(a, np.where(a.data > floor, g / np.maximum(a.data, floor), 0.0))
+        gp = log_ratio  # only this backward reads the log ratio
+        gp += p.data > _PROB_FLOOR
+        gp *= out.grad[..., None]
+        _accumulate(p, gp)
 
-    out = _finish("log", (a,), out_data, backward)
+    out = _finish("kl_divergence", (p,), out_data, backward)
     return out
 
 

@@ -366,6 +366,26 @@ def test_train_model_config_may_set_any_keys_and_flags_win(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: frames_per_clip is 7, but the data gives 6"), err
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (6, 0)], ids=["no-frames", "no-dim"])
+def test_train_zero_sized_features_name_the_file(tmp_path, capsys, shape):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    records = (synth_dir / "train.jsonl").read_text() + (synth_dir / "validation.jsonl").read_text()
+    first = min(json.loads(line)["video_id"] for line in records.splitlines())
+    empty = synth_dir / "features" / f"{first}.evaf"
+    save_video_features(empty, np.zeros(shape))
+    capsys.readouterr()
+    code = _run(
+        "train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+        "--features", synth_dir / "features", "--out", tmp_path / "model.ckpt",
+        "--vocab-min-count", 1, "--max-steps", 1,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {empty}: "), err
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_train_divergence_prints_reason(tmp_path, monkeypatch, capsys):
     from safa import training

@@ -356,7 +356,7 @@ def test_export_attention_rows_and_bit_equality(tmp_path):
     cfg, params, batch, feats = _export_setup(frames=5)
     src_vocab = type("V", (), {"tokens": [f"tok{i}" for i in range(9)]})()
     path = tmp_path / "attn.jsonl"
-    export_attention(params, cfg, batch, feats, src_vocab, path)
+    export_attention(params, cfg, batch.src, batch.src_mask, feats, src_vocab, path)
     dump = _read_attention_dump(path)
     assert len(dump) == 2
     assert len(dump[0]["weights"]) == 3  # padding token dropped
@@ -403,7 +403,7 @@ def test_trained_attention_peaks_at_frame_nearest_gaussian_mean(tmp_path):
     batch = batches[0]
     feats = VideoFeatureBatch(np.stack([features[v] for v in batch.video_ids]))
     path = tmp_path / "attn.jsonl"
-    export_attention(result.params, cfg, batch.text, feats, src_vocab, path)
+    export_attention(result.params, cfg, batch.text.src, batch.text.src_mask, feats, src_vocab, path)
     z = np.linspace(-3.0, 3.0, frames)
     nearest = int(np.argmin(np.abs(z - 1.0)))
     assert nearest == 3
@@ -415,6 +415,6 @@ def test_export_attention_single_frame(tmp_path):
     cfg, params, batch, feats = _export_setup(frames=1)
     src_vocab = type("V", (), {"tokens": [f"tok{i}" for i in range(9)]})()
     path = tmp_path / "attn.jsonl"
-    export_attention(params, cfg, batch, feats, src_vocab, path)
+    export_attention(params, cfg, batch.src, batch.src_mask, feats, src_vocab, path)
     for record in _read_attention_dump(path):
         assert all(row == [1.0] for row in record["weights"])

@@ -106,7 +106,7 @@ def test_config_text_round_trip():
 
 @pytest.mark.parametrize("field,value", [
     ("heads", 0), ("d_model", 0), ("d_ffn", -1), ("src_vocab_size", 0), ("tgt_vocab_size", -2),
-    ("dropout", 1.0), ("dropout", -0.1),
+    ("video_feature_dim", 0), ("dropout", 1.0), ("dropout", -0.1),
 ])
 def test_config_rejects_out_of_range_sizes_and_dropout(field, value):
     kwargs = dict(src_vocab_size=10, tgt_vocab_size=10, video_feature_dim=8, d_model=8, heads=2)

@@ -23,11 +23,6 @@ from safa.tensor import (
 )
 
 
-def test_softmax_symmetry():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-
-
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 5))
@@ -37,14 +32,6 @@ def test_matmul_identity():
 
 def test_sigmoid_at_zero():
     assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
-
-
-def test_softmax_rows_are_distributions():
-    rng = np.random.default_rng(1)
-    x = rng.normal(scale=5.0, size=(4, 7))
-    s = T.softmax(Tensor(x)).data
-    assert (s >= 0).all()
-    np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_backward_sum_gives_ones():
@@ -116,13 +103,8 @@ def test_shape_error_names_primitive():
 
 
 def test_non_finite_output_rejected():
-    with pytest.raises(NumericError, match="log"):
-        T.log(Tensor([0.0]))
-
-
-def test_log_floor_avoids_infinity():
-    out = T.log(Tensor([0.0, 1.0]), floor=1e-12)
-    np.testing.assert_allclose(out.data, [np.log(1e-12), 0.0])
+    with pytest.raises(NumericError, match="scale"):
+        T.scale(Tensor([1.0, np.nan]), 2.0)
 
 
 def test_dropout_rate_zero_is_identity():
@@ -159,12 +141,10 @@ def _fd_case(name, rng):
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         return lambda p: T.reduce_sum(T.mul(T.matmul(p["a"], p["b"]), Tensor(rng_fixed(name, (2, 3, 2))))), {"a": a, "b": b}
-    if name == "transpose":
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.transpose(p["a"], (2, 0, 1)), Tensor(rng_fixed(name, (4, 2, 3))))), {"a": a}
-    if name == "softmax":
-        a = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.softmax(p["a"]), Tensor(rng_fixed(name, (2, 5))))), {"a": a}
+    if name == "attention_weights":
+        q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        return lambda p: T.reduce_sum(T.mul(T.attention_weights(p["q"], p["k"]), Tensor(rng_fixed(name, (2, 3, 5))))), {"q": q, "k": k}
     if name.startswith("smoothed_cross_entropy"):
         smoothing = 0.0 if name.endswith("-unsmoothed") else 0.1
         a = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
@@ -173,9 +153,12 @@ def _fd_case(name, rng):
         ids[keep == 0] = 0  # the padding id
         weights = keep * rng_fixed(name, (2, 4))
         return lambda p: T.reduce_sum(T.mul(T.smoothed_cross_entropy(p["a"], ids, smoothing), Tensor(weights))), {"a": a}
-    if name == "log":
-        a = Tensor(rng.random(size=(2, 4)) + 0.5, requires_grad=True)
-        return lambda p: T.reduce_sum(T.log(p["a"], floor=1e-12)), {"a": a}
+    if name == "kl_divergence":
+        # well above the floor: a central difference cannot cross it
+        a = Tensor(rng.random(size=(2, 3, 4)) + 0.5, requires_grad=True)
+        target = rng.random(size=4) + 0.1
+        target /= target.sum()
+        return lambda p: T.reduce_sum(T.mul(T.kl_divergence(p["a"], target), Tensor(rng_fixed(name)))), {"a": a}
     if name == "sigmoid":
         a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         return lambda p: T.reduce_sum(T.mul(T.sigmoid(p["a"]), Tensor(rng_fixed(name, (3, 3))))), {"a": a}
@@ -256,8 +239,8 @@ def rng_fixed(name, shape=(2, 3)):
 
 
 PRIMITIVE_NAMES = (
-    "add", "attention", "dropout", "embedding", "layer_norm", "linear", "log", "matmul", "mul",
-    "reduce_sum", "relu", "scale", "sigmoid", "smoothed_cross_entropy", "softmax", "sub", "transpose",
+    "add", "attention", "attention_weights", "dropout", "embedding", "kl_divergence", "layer_norm",
+    "linear", "matmul", "mul", "reduce_sum", "relu", "scale", "sigmoid", "smoothed_cross_entropy", "sub",
 )
 # further cases of the fused primitives
 FUSED_VARIANTS = (
@@ -307,10 +290,13 @@ def test_add_operands_with_further_gradients_match_central_differences():
 # Parent formulas of the primitives whose reductions were reworked, written
 # with numpy's own reductions; each returns (output, input gradients) for the
 # cotangent g.
-def _softmax_reference(x, g):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    return s, [s * (g - (g * s).sum(axis=-1, keepdims=True))]
+def _attention_weights_reference(q, k, g):
+    factor = 1.0 / math.sqrt(q.shape[-1])
+    scores = q @ k.swapaxes(-1, -2) * factor
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    gs = w * (g - (g * w).sum(axis=-1, keepdims=True)) * factor
+    return w, [gs @ k, gs.swapaxes(-1, -2) @ q]
 
 
 def _smoothed_cross_entropy_reference(x, targets, smoothing, g):
@@ -368,13 +354,16 @@ def _attention_reference(q, k, v, heads, blocked, g):
 def _train_shape_case(name, rng):
     """(primitive over input tensors, input arrays, reference) at a train batch's shapes."""
     rows, length = 200, 3
-    if name.startswith("softmax") or name.startswith("smoothed_cross_entropy"):
-        # 12 frames and 7 target words take the short-row max; 40 the long-row one
+    if name.startswith("attention_weights"):
+        # 12 frames take the short-row reductions; 40 the long-row ones
+        frames = int(name.split("-")[1])
+        return T.attention_weights, [rng.normal(size=(rows, length, 32)), rng.normal(size=(rows, frames, 32))], \
+            _attention_weights_reference
+    if name.startswith("smoothed_cross_entropy"):
+        # 7 target words take the short-row max; 40 the long-row one
         width = int(name.split("-")[1])
         # rows hundreds apart: shifting a row by another row's max would over- or underflow
         x = rng.normal(scale=3.0, size=(rows, length, width)) + rng.uniform(-500, 500, size=(rows, length, 1))
-        if name.startswith("softmax"):
-            return T.softmax, [x], _softmax_reference
         targets = rng.integers(0, width, size=(rows, length))
         return (lambda a: T.smoothed_cross_entropy(a, targets, 0.1)), [x], \
             (lambda a, g: _smoothed_cross_entropy_reference(a, targets, 0.1, g))
@@ -392,7 +381,7 @@ def _train_shape_case(name, rng):
 
 @pytest.mark.parametrize("name", [
     "attention", "layer_norm", "linear", "smoothed_cross_entropy-7", "smoothed_cross_entropy-40",
-    "softmax-12", "softmax-40",
+    "attention_weights-12", "attention_weights-40",
 ])
 def test_primitives_match_reference_formulas_at_train_shapes(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -427,6 +416,23 @@ def test_attention_nan_input_names_attention():
         T.attention(Tensor(q), Tensor(np.ones((1, 3, 4))), Tensor(np.ones((1, 3, 4))), 2)
 
 
+def test_kl_divergence_of_a_one_hot_row_is_finite():
+    # the zeros sit below the 1e-12 floor, where log p is a constant
+    target = np.array([0.2, 0.5, 0.3])
+    p = Tensor(np.array([[0.0, 1.0, 0.0]]), requires_grad=True)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.kl_divergence(p, target))
+        tape.backward(loss)
+    assert loss.item() == -np.log(0.5)
+    expected = [np.log(1e-12) - np.log(0.2), 1.0 - np.log(0.5), np.log(1e-12) - np.log(0.3)]
+    assert p.grad.tolist() == [expected]
+
+
+def test_kl_divergence_checks_its_target():
+    with pytest.raises(ShapeError, match="kl_divergence"):
+        T.kl_divergence(Tensor(np.full((2, 3), 1 / 3)), np.full(4, 0.25))
+
+
 def test_finite_output_with_overflowing_squares_passes_silently():
     # the squares overflow the fast sum-of-squares test; the element-wise fallback accepts them
     with warnings.catch_warnings():
@@ -435,7 +441,7 @@ def test_finite_output_with_overflowing_squares_passes_silently():
     assert (out.data == -1e200).all()
 
 
-# (primitive, left shape, right shape, left operand is a transposed view)
+# (primitive, left shape, right shape, left operand is a constant transposed view)
 _SHAPE_CASES = [
     ("matmul", (2, 2, 3, 4), (2, 2, 4, 3), False),  # batched on both sides
     ("matmul", (3, 4), (2, 4, 5), False),           # left gradient summed over the batch
@@ -457,19 +463,22 @@ def test_broadcast_and_batched_gradients_match_central_differences(name, shape_a
     op = getattr(T, name)
     key = f"{name}{shape_a}{shape_b}{transposed}"
 
-    def fn(p):
-        a = T.transpose(p["a"]) if transposed else p["a"]
-        out = op(a, p["b"])
+    def fn(p, a=None):
+        out = op(p["a"] if a is None else a, p["b"])
         return T.reduce_sum(T.mul(out, Tensor(rng_fixed(key, out.shape))))
 
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
-        params = {
-            "a": Tensor(rng.normal(size=shape_a), requires_grad=True),
-            "b": Tensor(rng.normal(size=shape_b), requires_grad=True),
-        }
-        worst = max(worst, check_gradients(fn, params, epsilon=1e-4))
+        a = rng.normal(size=shape_a)
+        params = {"b": Tensor(rng.normal(size=shape_b), requires_grad=True)}
+        if transposed:
+            # a view cannot be perturbed in place, so only b's gradient is checked
+            left = Tensor(a.swapaxes(-1, -2))
+            worst = max(worst, check_gradients(lambda p: fn(p, left), params, epsilon=1e-4))
+        else:
+            params["a"] = Tensor(a, requires_grad=True)
+            worst = max(worst, check_gradients(fn, params, epsilon=1e-4))
     assert worst < 1e-4, f"{key}: max relative error {worst}"
 
 
