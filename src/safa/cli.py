@@ -154,31 +154,13 @@ def _read_bool_csv(path, header):
 def cmd_windows(args):
     records, _ = parse_corpus(args.input, lenient=args.lenient)
     write_manifest(args.out, args, [args.input])
-    rows = []
-    for r in records:
-        w = compute_clip_window(r, args.duration_ms)
-        rows.append(
-            {
-                "id": r.id, "video_id": w.video_id,
-                "window_start_ms": w.window_start_ms,
-                "window_end_ms": w.window_end_ms,
-                "frame_count": w.frame_count,
-            }
-        )
-    _jsonl(args.out, rows)
+    _jsonl(args.out, [{"id": r.id, **asdict(compute_clip_window(r, args.duration_ms))} for r in records])
 
 
 def cmd_transets(args):
     records, _ = parse_corpus(args.input, lenient=args.lenient)
     write_manifest(args.out, args, [args.input])
-    sets = collect_translation_sets(records)
-    _jsonl(
-        args.out,
-        [
-            {"source_text": s.source_text, "member_ids": s.member_ids, "target_texts": s.target_texts}
-            for s in sets
-        ],
-    )
+    _jsonl(args.out, [asdict(s) for s in collect_translation_sets(records)])
 
 
 def _scorers(args, records):
@@ -195,23 +177,8 @@ def cmd_ambiguous(args):
     write_manifest(args.out, args, [args.input, *extra_inputs])
     schedule = tuple(float(x) for x in args.schedule.split(","))
     config = AmbiguitySelectionConfig(args.target_threshold, schedule)
-    sets = collect_translation_sets(records)
-    chosen = select_ambiguous_sets(sets, records, cross, target, config)
-    _jsonl(
-        args.out,
-        [
-            {
-                "source_text": c.source_text,
-                "first_target": c.first_target,
-                "second_target": c.second_target,
-                "first_id": c.first_id,
-                "second_id": c.second_id,
-                "parallel_threshold": c.parallel_threshold,
-                "pair_similarity": c.pair_similarity,
-            }
-            for c in chosen
-        ],
-    )
+    chosen = select_ambiguous_sets(collect_translation_sets(records), records, cross, target, config)
+    _jsonl(args.out, [asdict(c) for c in chosen])
 
 
 def cmd_votes(args):
@@ -305,6 +272,12 @@ def _naming(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _require(items, path, what):
+    """Raise an input error naming ``path`` when ``items`` is empty."""
+    if not items:
+        raise ValueError(f"{path}: {what}")
+
+
 def _read_model_config(path):
     """Parse a full ``key = value`` model config, as ``train`` writes beside a checkpoint."""
     with _naming(path):
@@ -349,8 +322,18 @@ def _load_vocabs(args, train_records):
 def cmd_train(args):
     train_records, _ = parse_corpus(args.train)
     val_records, _ = parse_corpus(args.val)
+    _require(train_records, args.train, "no records to train on")
+    _require(val_records, args.val, "no records to validate on")
     flags = _read_bool_csv(args.flags, "id,flag") if args.flags else {}
     src_vocab, tgt_vocab, built = _load_vocabs(args, train_records)
+    train_batches, skipped_train = make_batches(
+        train_records, src_vocab, tgt_vocab, args.tokens_per_batch, seed=args.seed, flags_by_id=flags
+    )
+    val_batches, _ = make_batches(
+        val_records, src_vocab, tgt_vocab, args.tokens_per_batch, seed=args.seed, flags_by_id=flags
+    )
+    for path, batches in ((args.train, train_batches), (args.val, val_batches)):
+        _require(batches, path, f"no sentence fits in --tokens-per-batch {args.tokens_per_batch}")
     video_ids = sorted({r.video_id for r in train_records + val_records})
     features = _load_features_dir(args.features, video_ids)
     cfg = _resolve_model_config(args, src_vocab, tgt_vocab, features)
@@ -359,13 +342,6 @@ def cmd_train(args):
     if not built:
         inputs += [args.src_vocab, args.tgt_vocab]
     write_manifest(args.out, args, inputs, resolved=asdict(cfg))
-
-    train_batches, skipped_train = make_batches(
-        train_records, src_vocab, tgt_vocab, args.tokens_per_batch, seed=args.seed, flags_by_id=flags
-    )
-    val_batches, _ = make_batches(
-        val_records, src_vocab, tgt_vocab, args.tokens_per_batch, seed=args.seed, flags_by_id=flags
-    )
     if skipped_train:
         print(f"skipped {len(skipped_train)} oversized sentences: {skipped_train}", file=sys.stderr)
     tc = TrainConfig(
@@ -404,6 +380,7 @@ def _load_model(args):
     Returns (records, src_vocab, tgt_vocab, cfg, params, src, src_mask, features).
     """
     records, _ = parse_corpus(args.corpus)
+    _require(records, args.corpus, "no records to read")
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
     cfg = _read_model_config(args.model_config)

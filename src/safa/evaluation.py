@@ -326,6 +326,10 @@ def run_synthetic_experiment(exp, variants=None):
     from .corpus import build_vocabulary
     from .training import Schedule, TrainConfig, generate_synthetic_dataset, make_batches, train
 
+    variants = list(variants or ABLATION_VARIANTS)
+    for variant in variants:
+        if variant not in ABLATION_VARIANTS:
+            raise ValueError(f"unknown ablation variant {variant!r}")
     records, features, flags = generate_synthetic_dataset(
         exp.n_train + exp.n_val + exp.n_test, exp.frames, exp.feature_dim,
         seed=exp.seed, bump=exp.bump,
@@ -364,7 +368,7 @@ def run_synthetic_experiment(exp, variants=None):
     refs = [r.target_text for r in test_records]
     dc = DecodeConfig(beam_size=1, max_length=8)
     rows, trained, central = [], {}, {}
-    for variant in variants or list(ABLATION_VARIANTS):
+    for variant in variants:
         vcfg = variant_config(cfg, variant)
         feats = variant_features(variant, features)
         params = train(ModelParameters.build(vcfg, seed=tc.seed), vcfg, train_batches, val_batches,

@@ -378,8 +378,7 @@ def selective_attention(h_text, h_video, cfg):
 def gated_fusion(h_text, h_attn, p):
     """Elementwise sigmoid gate mixing text and attended-video representations."""
     gate = T.sigmoid(T.add(T.linear(h_text, p["gate_text"]), T.linear(h_attn, p["gate_video"])))
-    fused = T.add(h_text, T.mul(gate, T.sub(h_attn, h_text)))
-    return fused, gate
+    return T.lerp(h_text, h_attn, gate), gate
 
 
 class DecoderCache:
@@ -481,10 +480,6 @@ def _mean_weights(mask, side):
     return mask / counts
 
 
-def _weighted_sum(x, weights, axis=None):
-    return T.reduce_sum(T.mul(x, Tensor(weights)), axis=axis)
-
-
 def label_smoothed_loss(logits, targets, mask, smoothing):
     """Per-sample translation losses, shape (B,).
 
@@ -492,7 +487,7 @@ def label_smoothed_loss(logits, targets, mask, smoothing):
     per-class NLL; then the mean over unmasked tokens of each sample.
     """
     per_token = T.smoothed_cross_entropy(logits, targets, smoothing)
-    return _weighted_sum(per_token, _mean_weights(mask, "target"), axis=-1)
+    return T.weighted_sum(per_token, _mean_weights(mask, "target"), axis=-1)
 
 
 def gaussian_target(frames, halfwidth, mean, std, temperature):
@@ -515,7 +510,7 @@ def gaussian_target(frames, halfwidth, mean, std, temperature):
 def frame_attention_loss(frame_attention, target, mask):
     """Mean KL(attention row || target) in nats over unmasked tokens, then batch."""
     kl = T.kl_divergence(frame_attention, target)  # (B, S)
-    return _weighted_sum(kl, _mean_weights(mask, "source") / mask.shape[0])
+    return T.weighted_sum(kl, _mean_weights(mask, "source") / mask.shape[0])
 
 
 def total_loss(per_sample_losses, flags, frame_loss, cfg):
@@ -533,7 +528,7 @@ def total_loss(per_sample_losses, flags, frame_loss, cfg):
     ambiguous = int(flags.sum())
     unambiguous = int(flags.size - ambiguous)
     weights = np.where(flags, cfg.ambiguity_weight, 1.0) / np.where(flags, ambiguous, unambiguous)
-    translation = _weighted_sum(per_sample_losses, weights)
+    translation = T.weighted_sum(per_sample_losses, weights)
     total = T.add(translation, T.scale(frame_loss, cfg.frame_loss_weight))
     return BatchLossBreakdown(
         translation_loss=translation.item(),

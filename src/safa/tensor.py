@@ -4,7 +4,8 @@ Every primitive validates shapes, refuses non-finite outputs, and (when a
 Tape is active) records one backward closure, run once by ``Tape.backward``.
 The model is a few fused primitives (``linear``, ``attention``,
 ``attention_weights``, the affine ``layer_norm``, ``smoothed_cross_entropy``,
-``kl_divergence``), so a forward records few tape entries. No GPU.
+``kl_divergence``, ``lerp``, ``weighted_sum``), so a forward records few tape
+entries. No GPU.
 """
 
 import math
@@ -247,39 +248,25 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out_data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
+def lerp(a, b, t):
+    """``a + t * (b - a)``, elementwise, for three tensors of one shape."""
+    a, b, t = _as_tensor(a), _as_tensor(b), _as_tensor(t)
+    if not a.data.shape == b.data.shape == t.data.shape:
+        raise ShapeError(f"lerp: shapes {a.data.shape}, {b.data.shape} and {t.data.shape} differ")
+    diff = b.data - a.data
+    out_data = a.data + t.data * diff
 
     def backward():
         g = out.grad
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if t.requires_grad:
+            _accumulate(t, g * diff)
+        if a.requires_grad or b.requires_grad:
+            gb = g * t.data
+            if a.requires_grad:
+                _accumulate(a, g - gb)
+            _accumulate(b, gb)
 
-    out = _finish("sub", (a, b), out_data, backward)
-    return out
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out_data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-
-    def backward():
-        g = out.grad
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    out = _finish("mul", (a, b), out_data, backward)
+    out = _finish("lerp", (a, b, t), out_data, backward)
     return out
 
 
@@ -638,17 +625,18 @@ def dropout(a, rate, mask):
     return out
 
 
-def reduce_sum(a, axis=None):
-    a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis)
+def weighted_sum(x, weights, axis=None):
+    """``sum(x * weights)`` over ``axis`` (every axis when None), for constant ``weights`` of x's shape."""
+    x, weights = _as_tensor(x), np.asarray(weights, dtype=np.float64)
+    if weights.shape != x.data.shape:
+        raise ShapeError(f"weighted_sum: weights {weights.shape} do not match values {x.data.shape}")
+    out_data = np.multiply(x.data, weights).sum(axis=axis)
 
     def backward():
-        g = out.grad
-        if axis is not None:
-            g = np.expand_dims(g, axis=axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
+        _accumulate(x, g * weights)
 
-    out = _finish("reduce_sum", (a,), out_data, backward)
+    out = _finish("weighted_sum", (x,), out_data, backward)
     return out
 
 

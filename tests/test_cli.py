@@ -386,6 +386,57 @@ def test_train_zero_sized_features_name_the_file(tmp_path, capsys, shape):
     assert err.startswith(f"error: {empty}: "), err
 
 
+@pytest.mark.parametrize("case", ["both-empty", "train-empty", "val-empty", "nothing-fits"])
+def test_train_without_usable_sentences_names_the_file(tmp_path, capsys, case):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    train = empty if case in ("both-empty", "train-empty") else synth_dir / "train.jsonl"
+    val = empty if case in ("both-empty", "val-empty") else synth_dir / "validation.jsonl"
+    out = tmp_path / "model.ckpt"
+    capsys.readouterr()
+    code = _run(
+        "train", "--train", train, "--val", val, "--features", synth_dir / "features", "--out", out,
+        "--vocab-min-count", 1, "--tokens-per-batch", 1 if case == "nothing-fits" else 128,
+        "--max-steps", 1, "--encoder-layers", 1, "--decoder-layers", 1, "--d-model", 8,
+        "--d-ffn", 16, "--heads", 2,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {val if case == 'val-empty' else train}: "), err
+    assert not out.exists() and not (tmp_path / "model.ckpt.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "attn-dump"])
+def test_model_commands_with_an_empty_corpus_name_the_file(tmp_path, capsys, command):
+    _, decode_args = _train_tiny_model(tmp_path)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    argv = [command, *decode_args[1:]]
+    argv[argv.index("--corpus") + 1] = empty
+    capsys.readouterr()
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {empty}: "), err
+    assert not (tmp_path / "hyps.txt.manifest.json").exists()
+
+
+def test_ablate_checks_variants_before_any_work(tmp_path, monkeypatch, capsys):
+    from safa import training
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ablation work started before its variants were checked")
+
+    monkeypatch.setattr(training, "generate_synthetic_dataset", forbidden)
+    monkeypatch.setattr(training, "train", forbidden)
+    for variants, unknown in (("full,bogus", "'bogus'"), ("full,", "''")):
+        capsys.readouterr()
+        assert _run("ablate", "--out", tmp_path / "table.csv", "--variants", variants) == 1
+        assert f"error: unknown ablation variant {unknown}" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_train_divergence_prints_reason(tmp_path, monkeypatch, capsys):
     from safa import training

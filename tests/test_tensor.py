@@ -1,10 +1,12 @@
 import inspect
 import math
 import os
+import re
 import struct
 import threading
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +36,19 @@ def test_sigmoid_at_zero():
     assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
 
 
+def _product(x, y):
+    """``x * y`` of two tensors of one shape, as ``lerp(0, x, y)``."""
+    return T.lerp(np.zeros(x.shape), x, y)
+
+
+def _total(x):
+    return T.weighted_sum(x, np.ones(x.shape))
+
+
 def test_backward_sum_gives_ones():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        loss = T.reduce_sum(x)
+        loss = _total(x)
         tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
@@ -45,7 +56,7 @@ def test_backward_sum_gives_ones():
 def test_backward_square():
     x = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
-        loss = T.reduce_sum(T.mul(x, x))
+        loss = _total(_product(x, x))
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, [6.0])
 
@@ -54,14 +65,14 @@ def test_zero_d_leaf_gradient_is_an_array():
     # the product of two 0-d arrays is a numpy scalar; the adopted gradient must not be
     x, y = Tensor(np.array(3.0), requires_grad=True), Tensor(np.array(2.0), requires_grad=True)
     with Tape() as tape:
-        tape.backward(T.mul(x, y))
+        tape.backward(_product(x, y))
     assert type(x.grad) is np.ndarray and x.grad.shape == () and x.grad == 2.0
 
 
 def test_backward_twice_raises():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
-        loss = T.reduce_sum(x)
+        loss = _total(x)
         tape.backward(loss)
         with pytest.raises(TapeStateError):
             tape.backward(loss)
@@ -70,7 +81,7 @@ def test_backward_twice_raises():
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = T.mul(x, x)
+        y = T.add(x, x)
         with pytest.raises(ShapeError):
             tape.backward(y)
 
@@ -79,8 +90,8 @@ def test_unreachable_parameter_gets_zero_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([5.0], requires_grad=True)
     with Tape() as tape:
-        _dead = T.mul(y, y)
-        loss = T.reduce_sum(x)
+        _dead = T.add(y, y)
+        loss = _total(x)
         tape.backward(loss)
     np.testing.assert_array_equal(y.grad, [0.0])
 
@@ -89,8 +100,8 @@ def test_backward_keeps_only_leaf_gradients():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
         dead = T.scale(x, 3.0)
-        h = T.mul(x, x)
-        loss = T.reduce_sum(h)
+        h = _product(x, x)
+        loss = _total(h)
         tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
     # intermediate gradients are released once consumed; unreachable ones are never filled
@@ -117,7 +128,7 @@ def test_dropout_scales_kept_entries():
     mask = np.array([[True, False, True, True], [False, True, True, False]])
     with Tape() as tape:
         y = T.dropout(x, 0.5, mask)
-        tape.backward(T.reduce_sum(y))
+        tape.backward(_total(y))
     np.testing.assert_array_equal(y.data, mask * 2.0)
     np.testing.assert_array_equal(x.grad, mask * 2.0)
 
@@ -129,22 +140,24 @@ def test_dropout_scales_kept_entries():
 
 def _fd_case(name, rng):
     """Build (fn over params, params) exercising one primitive."""
-    if name in ("add", "sub", "mul"):
+    if name == "add":
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)  # broadcast path
-        op = getattr(T, name)
-        return lambda p: T.reduce_sum(T.mul(op(p["a"], p["b"]), Tensor(rng_fixed(name)))), {"a": a, "b": b}
+        return lambda p: T.weighted_sum(T.add(p["a"], p["b"]), rng_fixed(name)), {"a": a, "b": b}
+    if name == "lerp":
+        params = {k: Tensor(rng.normal(size=(2, 3)), requires_grad=True) for k in ("a", "b", "t")}
+        return lambda p: T.weighted_sum(T.lerp(p["a"], p["b"], p["t"]), rng_fixed(name)), params
     if name == "scale":
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.scale(p["a"], 1.7)), {"a": a}
+        return lambda p: T.weighted_sum(T.scale(p["a"], 1.7), rng_fixed(name)), {"a": a}
     if name == "matmul":
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.matmul(p["a"], p["b"]), Tensor(rng_fixed(name, (2, 3, 2))))), {"a": a, "b": b}
+        return lambda p: T.weighted_sum(T.matmul(p["a"], p["b"]), rng_fixed(name, (2, 3, 2))), {"a": a, "b": b}
     if name == "attention_weights":
         q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.attention_weights(p["q"], p["k"]), Tensor(rng_fixed(name, (2, 3, 5))))), {"q": q, "k": k}
+        return lambda p: T.weighted_sum(T.attention_weights(p["q"], p["k"]), rng_fixed(name, (2, 3, 5))), {"q": q, "k": k}
     if name.startswith("smoothed_cross_entropy"):
         smoothing = 0.0 if name.endswith("-unsmoothed") else 0.1
         a = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
@@ -152,24 +165,24 @@ def _fd_case(name, rng):
         keep = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])  # the second row ends in padding
         ids[keep == 0] = 0  # the padding id
         weights = keep * rng_fixed(name, (2, 4))
-        return lambda p: T.reduce_sum(T.mul(T.smoothed_cross_entropy(p["a"], ids, smoothing), Tensor(weights))), {"a": a}
+        return lambda p: T.weighted_sum(T.smoothed_cross_entropy(p["a"], ids, smoothing), weights), {"a": a}
     if name == "kl_divergence":
         # well above the floor: a central difference cannot cross it
         a = Tensor(rng.random(size=(2, 3, 4)) + 0.5, requires_grad=True)
         target = rng.random(size=4) + 0.1
         target /= target.sum()
-        return lambda p: T.reduce_sum(T.mul(T.kl_divergence(p["a"], target), Tensor(rng_fixed(name)))), {"a": a}
+        return lambda p: T.weighted_sum(T.kl_divergence(p["a"], target), rng_fixed(name)), {"a": a}
     if name == "sigmoid":
         a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.sigmoid(p["a"]), Tensor(rng_fixed(name, (3, 3))))), {"a": a}
+        return lambda p: T.weighted_sum(T.sigmoid(p["a"]), rng_fixed(name, (3, 3))), {"a": a}
     if name == "relu":
         a = Tensor(rng.normal(size=(3, 3)) + 0.05, requires_grad=True)  # keep away from the kink
-        return lambda p: T.reduce_sum(T.mul(T.relu(p["a"]), Tensor(rng_fixed(name, (3, 3))))), {"a": a}
+        return lambda p: T.weighted_sum(T.relu(p["a"]), rng_fixed(name, (3, 3))), {"a": a}
     if name == "layer_norm":
         a = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         gain = Tensor(rng.normal(size=(6,)), requires_grad=True)
         bias = Tensor(rng.normal(size=(6,)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.layer_norm(p["a"], p["g"], p["b"]), Tensor(rng_fixed(name, (2, 3, 6))))), {"a": a, "g": gain, "b": bias}
+        return lambda p: T.weighted_sum(T.layer_norm(p["a"], p["g"], p["b"]), rng_fixed(name, (2, 3, 6))), {"a": a, "g": gain, "b": bias}
     if name == "linear":
         return _linear_case(rng, (2, 3, 4))
     if name == "attention":
@@ -191,14 +204,18 @@ def _fd_case(name, rng):
     if name == "embedding":
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = rng.integers(0, 5, size=(2, 4))
-        return lambda p: T.reduce_sum(T.mul(T.embedding(p["t"], ids), Tensor(rng_fixed(name, (2, 4, 3))))), {"t": table}
+        return lambda p: T.weighted_sum(T.embedding(p["t"], ids), rng_fixed(name, (2, 4, 3))), {"t": table}
     if name == "dropout":
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         mask = rng.random(size=(3, 4)) > 0.4
-        return lambda p: T.reduce_sum(T.mul(T.dropout(p["a"], 0.4, mask), Tensor(rng_fixed(name, (3, 4))))), {"a": a}
-    if name == "reduce_sum":
+        return lambda p: T.weighted_sum(T.dropout(p["a"], 0.4, mask), rng_fixed(name, (3, 4))), {"a": a}
+    if name == "weighted_sum":
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        return lambda p: T.reduce_sum(T.mul(T.reduce_sum(p["a"], axis=1), Tensor(rng_fixed(name, (2, 4))))), {"a": a}
+        return lambda p: T.weighted_sum(p["a"], rng_fixed(name, (2, 3, 4))), {"a": a}
+    if name == "weighted_sum-axis":
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        return lambda p: T.weighted_sum(T.weighted_sum(p["a"], rng_fixed(name, (2, 3, 4)), axis=1),
+                                        rng_fixed(name, (2, 4))), {"a": a}
     raise AssertionError(f"no finite-difference case for primitive {name!r}")
 
 
@@ -210,7 +227,7 @@ def _linear_case(rng, shape, bias=True):
     if bias:
         params["b"] = Tensor(rng.normal(size=(3,)), requires_grad=True)
     cotangent = rng_fixed(f"linear{shape}", shape[:-1] + (3,))
-    return lambda p: T.reduce_sum(T.mul(T.linear(p["x"], p["w"], p.get("b")), Tensor(cotangent))), params
+    return lambda p: T.weighted_sum(T.linear(p["x"], p["w"], p.get("b")), cotangent), params
 
 
 def _attention_case(rng, key, q_shape, kv_shape, blocked):
@@ -220,7 +237,7 @@ def _attention_case(rng, key, q_shape, kv_shape, blocked):
         "v": Tensor(rng.normal(size=kv_shape), requires_grad=True),
     }
     cotangent = rng_fixed(key, q_shape)
-    return lambda p: T.reduce_sum(T.mul(T.attention(p["q"], p["k"], p["v"], 2, blocked), Tensor(cotangent))), params
+    return lambda p: T.weighted_sum(T.attention(p["q"], p["k"], p["v"], 2, blocked), cotangent), params
 
 
 _FIXED = {}
@@ -240,12 +257,12 @@ def rng_fixed(name, shape=(2, 3)):
 
 PRIMITIVE_NAMES = (
     "add", "attention", "attention_weights", "dropout", "embedding", "kl_divergence", "layer_norm",
-    "linear", "matmul", "mul", "reduce_sum", "relu", "scale", "sigmoid", "smoothed_cross_entropy", "sub",
+    "lerp", "linear", "matmul", "relu", "scale", "sigmoid", "smoothed_cross_entropy", "weighted_sum",
 )
 # further cases of the fused primitives
 FUSED_VARIANTS = (
     "attention-cached-step", "attention-causal", "linear-2d", "linear-nobias",
-    "smoothed_cross_entropy-unsmoothed",
+    "smoothed_cross_entropy-unsmoothed", "weighted_sum-axis",
 )
 
 
@@ -259,27 +276,37 @@ def test_primitive_gradients_match_central_differences(name):
     assert worst < 1e-4, f"{name}: max relative error {worst}"
 
 
-def test_every_primitive_has_a_finite_difference_case():
+def _recorded_primitives():
     # a public function that records through _finish is a primitive
-    recorded = {
+    return {
         name for name, fn in vars(T).items()
         if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
         and "_finish" in fn.__code__.co_names
     }
-    assert recorded == set(PRIMITIVE_NAMES)
+
+
+def test_every_primitive_has_a_finite_difference_case():
+    assert _recorded_primitives() == set(PRIMITIVE_NAMES)
+
+
+def test_readme_lists_every_primitive():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The primitives are (.*?); the fused ones are", readme, re.DOTALL)
+    assert listed, "README.md lost its list of primitives"
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == _recorded_primitives()
 
 
 def test_add_operands_with_further_gradients_match_central_differences():
     # each leaf is used before its add, so the add's backward runs first and
     # hands out.grad to one operand; the later contributions then land on top
     def fn(p):
-        earlier = [T.mul(p[k], Tensor(rng_fixed(f"add-reuse-{k}"))) for k in ("a", "b", "c")]
-        y = T.mul(T.add(p["a"], p["b"]), Tensor(rng_fixed("add-reuse-y")))
+        earlier = [_product(p[k], rng_fixed(f"add-reuse-{k}")) for k in ("a", "b", "c")]
+        y = _product(T.add(p["a"], p["b"]), rng_fixed("add-reuse-y"))
         twice = T.scale(T.add(p["c"], p["c"]), 0.3)
         total = y
         for term in earlier + [twice]:
             total = T.add(total, term)
-        return T.reduce_sum(total)
+        return _total(total)
 
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -390,7 +417,7 @@ def test_primitives_match_reference_formulas_at_train_shapes(name):
     with Tape() as tape:
         out = op(*inputs)
         cotangent = rng.normal(size=out.shape)
-        tape.backward(T.reduce_sum(T.mul(out, Tensor(cotangent))))
+        tape.backward(T.weighted_sum(out, cotangent))
     ref_out, ref_grads = reference(*arrays, cotangent)
     np.testing.assert_allclose(out.data, ref_out, rtol=1e-12, atol=1e-12)
     for t, ref in zip(inputs, ref_grads):
@@ -403,7 +430,7 @@ def test_embedding_backward_equals_scatter_add():
     ids = rng.integers(0, 6, size=(40, 3))  # every id repeats; id 6 never occurs
     cotangent = rng.normal(size=(40, 3, 5))
     with Tape() as tape:
-        tape.backward(T.reduce_sum(T.mul(T.embedding(table, ids), Tensor(cotangent))))
+        tape.backward(T.weighted_sum(T.embedding(table, ids), cotangent))
     expected = np.zeros((7, 5))
     np.add.at(expected, ids.reshape(-1), cotangent.reshape(-1, 5))
     assert table.grad.tobytes() == expected.tobytes()
@@ -421,7 +448,7 @@ def test_kl_divergence_of_a_one_hot_row_is_finite():
     target = np.array([0.2, 0.5, 0.3])
     p = Tensor(np.array([[0.0, 1.0, 0.0]]), requires_grad=True)
     with Tape() as tape:
-        loss = T.reduce_sum(T.kl_divergence(p, target))
+        loss = _total(T.kl_divergence(p, target))
         tape.backward(loss)
     assert loss.item() == -np.log(0.5)
     expected = [np.log(1e-12) - np.log(0.2), 1.0 - np.log(0.5), np.log(1e-12) - np.log(0.3)]
@@ -449,9 +476,6 @@ _SHAPE_CASES = [
     ("add", (2, 3), (1, 3), False),
     ("add", (2, 3), (2, 1), False),
     ("add", (2, 1, 3), (3,), False),
-    ("mul", (2, 3), (1, 3), False),
-    ("mul", (2, 3), (2, 1), False),
-    ("mul", (2, 1, 3), (3,), False),
 ]
 
 
@@ -465,7 +489,7 @@ def test_broadcast_and_batched_gradients_match_central_differences(name, shape_a
 
     def fn(p, a=None):
         out = op(p["a"] if a is None else a, p["b"])
-        return T.reduce_sum(T.mul(out, Tensor(rng_fixed(key, out.shape))))
+        return T.weighted_sum(out, rng_fixed(key, out.shape))
 
     worst = 0.0
     for seed in range(100):
@@ -490,7 +514,7 @@ def test_matmul_constant_operand_keeps_no_grad():
     def grads(op, x_requires_grad, w_requires_grad):
         a, b = Tensor(x, x_requires_grad), Tensor(w, w_requires_grad)
         with Tape() as tape:
-            tape.backward(T.reduce_sum(T.mul(op(a, b), Tensor(cotangent))))
+            tape.backward(T.weighted_sum(op(a, b), cotangent))
         return a.grad, b.grad
 
     for op in (T.matmul, T.linear):
@@ -510,19 +534,40 @@ def test_elementwise_gradients_skip_constant_operands(monkeypatch):
     reduced = []
     unbroadcast = T._unbroadcast
     monkeypatch.setattr(T, "_unbroadcast", lambda g, shape: reduced.append(shape) or unbroadcast(g, shape))
-    for op, expected in ((T.add, 1.0), (T.sub, 1.0), (T.mul, const.data)):
-        for operands, sign in (((x, const), 1.0), ((const, x), -1.0 if op is T.sub else 1.0)):
-            reduced.clear()
-            x.grad = None
-            with Tape() as tape:
-                tape.backward(T.reduce_sum(op(*operands)))
-            assert reduced == [x.shape] and const.grad is None
-            np.testing.assert_array_equal(x.grad, np.broadcast_to(sign * expected, x.shape))
+    for operands in ((x, const), (const, x)):
+        reduced.clear()
+        x.grad = None
+        with Tape() as tape:
+            tape.backward(_total(T.add(*operands)))
+        assert reduced == [x.shape] and const.grad is None
+        np.testing.assert_array_equal(x.grad, np.ones(x.shape))
+    # lerp, the gated fusion, with one operand taped: the constants' gradients are never formed
+    a, b, t = (Tensor(rng.normal(size=(4, 3, 2))) for _ in range(3))
+    expected = (1.0 - t.data, t.data, b.data - a.data)
+    for i, leaf in enumerate((a, b, t)):
+        for operand in (a, b, t):
+            operand.requires_grad, operand.grad = operand is leaf, None
+        reduced.clear()
+        with Tape() as tape:
+            tape.backward(_total(T.lerp(a, b, t)))
+        assert reduced == [] and [op.grad is None for op in (a, b, t)] == [op is not leaf for op in (a, b, t)]
+        np.testing.assert_array_equal(leaf.grad, expected[i])
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 3), (3,)), ((2, 3), (1, 3), (2, 3)), ((2, 1), (2, 3), (2, 3))])
+def test_lerp_rejects_unequal_shapes(shapes):
+    with pytest.raises(ShapeError, match="lerp"):
+        T.lerp(*(Tensor(np.zeros(shape)) for shape in shapes))
+
+
+def test_weighted_sum_rejects_weights_of_another_shape():
+    with pytest.raises(ShapeError, match="weighted_sum"):
+        T.weighted_sum(Tensor(np.zeros((2, 3))), np.ones(3))
 
 
 def test_check_gradients_square():
     params = {"x": Tensor([3.0], requires_grad=True)}
-    err = check_gradients(lambda p: T.reduce_sum(T.mul(p["x"], p["x"])), params, epsilon=1e-4)
+    err = check_gradients(lambda p: _total(_product(p["x"], p["x"])), params, epsilon=1e-4)
     assert err < 1e-8
 
 
@@ -577,7 +622,7 @@ def test_tapes_are_thread_local():
             for _ in range(50):
                 x = Tensor(rng.normal(size=(4,)), requires_grad=True)
                 with Tape() as tape:
-                    loss = T.reduce_sum(T.mul(x, x))
+                    loss = _total(_product(x, x))
                     tape.backward(loss)
                 np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
         except Exception as exc:  # noqa: BLE001 - surfaced via the main thread

@@ -4,7 +4,7 @@ import pytest
 from safa import training
 from safa.corpus import BOS_ID, EOS_ID, SubtitleRecord, build_vocabulary
 from safa.model import ModelConfig, ModelParameters
-from safa.tensor import Tape, Tensor, reduce_sum, mul
+from safa.tensor import Tape, Tensor, lerp, weighted_sum
 from safa.training import (
     AdamState,
     NonFiniteGradientError,
@@ -82,7 +82,7 @@ def test_adam_converges_on_square():
     for _ in range(100):
         params["x"].zero_grad()
         with Tape() as tape:
-            loss = reduce_sum(mul(params["x"], params["x"]))
+            loss = weighted_sum(lerp(np.zeros(1), params["x"], params["x"]), np.ones(1))  # x * x
             tape.backward(loss)
         adam_step(params, state, lr=0.1, clip_norm=None)
     assert abs(params["x"].data[0]) < 0.5
