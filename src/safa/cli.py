@@ -154,31 +154,46 @@ def _read_bool_csv(path, header):
 def cmd_windows(args):
     records, _ = parse_corpus(args.input, lenient=args.lenient)
     write_manifest(args.out, args, [args.input])
-    _jsonl(args.out, [{"id": r.id, **asdict(compute_clip_window(r, args.duration_ms))} for r in records])
+    _jsonl(args.out, [{"id": r.id, **vars(compute_clip_window(r, args.duration_ms))} for r in records])
 
 
 def cmd_transets(args):
     records, _ = parse_corpus(args.input, lenient=args.lenient)
     write_manifest(args.out, args, [args.input])
-    _jsonl(args.out, [asdict(s) for s in collect_translation_sets(records)])
+    _jsonl(args.out, [vars(s) for s in collect_translation_sets(records)])
 
 
 def _scorers(args, records):
     if args.scorer == "baseline":
         return baseline_similarity, baseline_similarity, []
+    for flag, path in (("--cross-matrix", args.cross_matrix), ("--target-matrix", args.target_matrix)):
+        if path is None:
+            raise ValueError(f"--scorer matrix needs {flag}")
     cross = MatrixScorer(records, load_similarity_matrix(args.cross_matrix), "source", "target")
     target = MatrixScorer(records, load_similarity_matrix(args.target_matrix), "target", "target")
     return cross, target, [args.cross_matrix, args.target_matrix]
 
 
+def _selection_config(args):
+    """``--target-threshold`` and ``--schedule`` as a config; a bad value names its flag."""
+    try:
+        schedule = tuple(float(x) for x in args.schedule.split(","))
+        AmbiguitySelectionConfig(parallel_schedule=schedule)
+    except ValueError as exc:
+        raise ValueError(f"--schedule {args.schedule}: {exc}") from None
+    try:
+        return AmbiguitySelectionConfig(args.target_threshold, schedule)
+    except ValueError as exc:
+        raise ValueError(f"--target-threshold {args.target_threshold}: {exc}") from None
+
+
 def cmd_ambiguous(args):
+    config = _selection_config(args)
     records, _ = parse_corpus(args.input, lenient=args.lenient)
     cross, target, extra_inputs = _scorers(args, records)
     write_manifest(args.out, args, [args.input, *extra_inputs])
-    schedule = tuple(float(x) for x in args.schedule.split(","))
-    config = AmbiguitySelectionConfig(args.target_threshold, schedule)
     chosen = select_ambiguous_sets(collect_translation_sets(records), records, cross, target, config)
-    _jsonl(args.out, [asdict(c) for c in chosen])
+    _jsonl(args.out, [vars(c) for c in chosen])
 
 
 def cmd_votes(args):

@@ -277,6 +277,10 @@ def select_ambiguous_sets(sets, records, cross_sim, target_sim, config=None):
     the least-similar kept pair. The first level where that pair's
     similarity drops under the target threshold wins and the level is
     recorded. Ties on minimum similarity break lexicographically.
+
+    Both scorers must be deterministic functions of their two texts: no
+    score depends on the level, so each candidate is scored once per set
+    and each target pair at most once per set, whatever the schedule.
     """
     config = config or AmbiguitySelectionConfig()
     by_id = {r.id: r for r in records}
@@ -287,36 +291,30 @@ def select_ambiguous_sets(sets, records, cross_sim, target_sim, config=None):
         for member_id in tset.member_ids:
             key = normalize_text(by_id[member_id].target_text)
             rep.setdefault(key, member_id)
-        candidates = [(t, rep[t]) for t in tset.target_texts]
-        chosen = None
+        cross = {t: cross_sim(tset.source_text, t) for t in tset.target_texts}
+        pair_sims = {}  # (earlier, later) target -> target_sim, for this set only
         for level in config.parallel_schedule:
-            kept = [
-                (t, rid) for t, rid in candidates
-                if cross_sim(tset.source_text, t) > level
-            ]
-            if len(kept) < 2:
+            kept = [t for t in tset.target_texts if cross[t] > level]
+            pairs = []
+            for i, first in enumerate(kept):
+                for second in kept[i + 1:]:
+                    if (first, second) not in pair_sims:
+                        pair_sims[first, second] = target_sim(first, second)
+                    pairs.append((pair_sims[first, second], first, second))
+            if not pairs:
                 continue
-            best = None
-            for i in range(len(kept)):
-                for j in range(i + 1, len(kept)):
-                    pair = (kept[i], kept[j])
-                    sim = target_sim(pair[0][0], pair[1][0])
-                    if best is None or (sim, pair[0][0], pair[1][0]) < best[:3]:
-                        best = (sim, pair[0][0], pair[1][0], pair)
-            if best is not None and best[0] < config.target_threshold:
-                (first, second) = best[3]
-                chosen = AmbiguousTranslationSet(
+            sim, first, second = min(pairs)
+            if sim < config.target_threshold:
+                out.append(AmbiguousTranslationSet(
                     source_text=tset.source_text,
-                    first_target=first[0],
-                    second_target=second[0],
-                    first_id=first[1],
-                    second_id=second[1],
+                    first_target=first,
+                    second_target=second,
+                    first_id=rep[first],
+                    second_id=rep[second],
                     parallel_threshold=level,
-                    pair_similarity=best[0],
-                )
+                    pair_similarity=sim,
+                ))
                 break
-        if chosen is not None:
-            out.append(chosen)
     return out
 
 

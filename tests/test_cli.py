@@ -176,6 +176,22 @@ def test_malformed_votes_and_similarity_header_name_the_file(corpus, tmp_path, c
     assert f"error: {matrix}:1: expected header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--schedule", "0.8,x"], "--schedule"),
+    (["--schedule", "0.3,0.8"], "--schedule"),
+    (["--target-threshold", "1.5"], "--target-threshold"),
+    (["--scorer", "matrix"], "--cross-matrix"),
+    (["--scorer", "matrix", "--cross-matrix", "cross.sim"], "--target-matrix"),
+], ids=["schedule-not-a-number", "schedule-ascending", "threshold-above-one",
+        "no-cross-matrix", "no-target-matrix"])
+def test_ambiguous_bad_flags_name_the_flag_and_write_nothing(corpus, tmp_path, capsys, flags, named):
+    out = tmp_path / "ambiguous.jsonl"
+    assert _run("pipeline", "ambiguous", "--in", corpus, "--out", out, *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists() and not (tmp_path / "ambiguous.jsonl.manifest.json").exists()
+
+
 @pytest.mark.parametrize("row", ["a1,True", "a2,yes", "a3"])
 def test_decisions_with_a_bad_row_name_the_line(corpus, tmp_path, capsys, row):
     decisions = tmp_path / "decisions.csv"

@@ -258,6 +258,25 @@ def test_ambiguous_selection_at_most_one_per_set_and_thresholds_hold():
             assert cross_map[chosen.second_target] > chosen.parallel_threshold
 
 
+def test_ambiguous_selection_scores_each_candidate_and_pair_once_per_set():
+    targets = ["t1", "t2", "t3", "t4"]
+    records = [rec(j, "s", t) for j, t in enumerate(targets)]
+    cross_map = {"t1": 0.95, "t2": 0.75, "t3": 0.55, "t4": 0.35}  # one more kept every level or two
+    cross_calls, pair_calls = [], []
+
+    def cross(source, target):
+        cross_calls.append(target)
+        return cross_map[target]
+
+    def tsim(a, b):
+        pair_calls.append(frozenset((a, b)))
+        return 0.9  # never under the 0.3 gate, so every level is walked
+
+    assert select_ambiguous_sets(collect_translation_sets(records), records, cross, tsim) == []
+    assert sorted(cross_calls) == targets
+    assert len(pair_calls) == len(set(pair_calls)) == 6
+
+
 def test_ambiguous_selection_schedule_validation():
     with pytest.raises(ValueError):
         AmbiguitySelectionConfig(parallel_schedule=(0.3, 0.8))

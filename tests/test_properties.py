@@ -1,8 +1,9 @@
-"""Property tests of the binary formats: checkpoint round trips and corrupted files.
+"""Property tests: checkpoint round trips, corrupted binaries, ambiguous-set selection.
 
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import itertools
 import math
 import struct
 
@@ -12,7 +13,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from safa import tensor as T
-from safa.corpus import CorpusParseError, load_video_features, save_video_features
+from safa.corpus import (
+    AmbiguitySelectionConfig,
+    AmbiguousTranslationSet,
+    CorpusParseError,
+    SubtitleRecord,
+    collect_translation_sets,
+    load_video_features,
+    normalize_text,
+    save_video_features,
+    select_ambiguous_sets,
+)
 from safa.model import ModelConfig, ModelParameters
 
 # each example rewrites the same file under tmp_path, so sharing it across examples is safe
@@ -89,3 +100,54 @@ def test_corrupted_feature_file_loads_or_names_the_file(tmp_path, draw):
     data = path.read_bytes()
     path.write_bytes(_corrupt(data, draw, range(len(data))))
     _loads_or_names_the_file(path, load_video_features, CorpusParseError)
+
+
+def _select_per_level(sets, records, cross_sim, target_sim, config):
+    """Straight-line selection that rescores every candidate and pair at every level."""
+    by_id = {r.id: r for r in records}
+    out = []
+    for tset in sets:
+        rep = {}
+        for member_id in tset.member_ids:
+            rep.setdefault(normalize_text(by_id[member_id].target_text), member_id)
+        for level in config.parallel_schedule:
+            kept = [t for t in tset.target_texts if cross_sim(tset.source_text, t) > level]
+            best = None
+            for i in range(len(kept)):
+                for j in range(i + 1, len(kept)):
+                    key = (target_sim(kept[i], kept[j]), kept[i], kept[j])
+                    if best is None or key < best:
+                        best = key
+            if best is not None and best[0] < config.target_threshold:
+                sim, first, second = best
+                out.append(AmbiguousTranslationSet(tset.source_text, first, second, rep[first],
+                                                   rep[second], level, sim))
+                break
+    return out
+
+
+_TENTHS = st.integers(0, 10).map(lambda k: k / 10)  # coarse, so scores tie with each other and the levels
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(draw=st.data())
+def test_ambiguous_selection_matches_the_per_level_oracle(draw):
+    targets = [f"t{j}" for j in range(draw.draw(st.integers(2, 6)))]
+    records = []
+    for source in ("a", "b", "c"):
+        for target in draw.draw(st.lists(st.sampled_from(targets), max_size=8)):
+            records.append(SubtitleRecord(f"r{len(records)}", source, target, 0, 1000, "v"))
+    cross = {(s, t): draw.draw(_TENTHS) for s in "abc" for t in targets}
+    pairs = {frozenset(p): draw.draw(_TENTHS) for p in itertools.combinations(targets, 2)}
+    levels = draw.draw(st.lists(_TENTHS, min_size=1, max_size=6, unique=True))
+    config = AmbiguitySelectionConfig(draw.draw(_TENTHS), sorted(levels, reverse=True))
+
+    def cross_sim(source, target):
+        return cross[source, target]
+
+    def target_sim(a, b):
+        return pairs[frozenset((a, b))]
+
+    sets = collect_translation_sets(records)
+    assert (select_ambiguous_sets(sets, records, cross_sim, target_sim, config)
+            == _select_per_level(sets, records, cross_sim, target_sim, config))
