@@ -26,6 +26,7 @@ from .corpus import (
     build_vocabulary,
     collect_translation_sets,
     compute_clip_window,
+    encode_json,
     flag_ambiguous_samples,
     krippendorff_alpha,
     load_similarity_matrix,
@@ -117,7 +118,7 @@ def _load_features_dir(directory, video_ids):
 def _jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            f.write(encode_json(row) + "\n")
 
 
 def _write_bool_csv(path, header, rows):
@@ -151,14 +152,22 @@ def _read_bool_csv(path, header):
 # ---------------------------------------------------------------------------
 
 
+def _read_corpus(args):
+    """The stage's ``--in`` records; lines that ``--lenient`` skipped are reported on stderr."""
+    records, skipped = parse_corpus(args.input, lenient=args.lenient)
+    if skipped:
+        print(f"skipped {len(skipped)} malformed lines of {args.input}: {skipped}", file=sys.stderr)
+    return records
+
+
 def cmd_windows(args):
-    records, _ = parse_corpus(args.input, lenient=args.lenient)
+    records = _read_corpus(args)
     write_manifest(args.out, args, [args.input])
     _jsonl(args.out, [{"id": r.id, **vars(compute_clip_window(r, args.duration_ms))} for r in records])
 
 
 def cmd_transets(args):
-    records, _ = parse_corpus(args.input, lenient=args.lenient)
+    records = _read_corpus(args)
     write_manifest(args.out, args, [args.input])
     _jsonl(args.out, [vars(s) for s in collect_translation_sets(records)])
 
@@ -189,7 +198,7 @@ def _selection_config(args):
 
 def cmd_ambiguous(args):
     config = _selection_config(args)
-    records, _ = parse_corpus(args.input, lenient=args.lenient)
+    records = _read_corpus(args)
     cross, target, extra_inputs = _scorers(args, records)
     write_manifest(args.out, args, [args.input, *extra_inputs])
     chosen = select_ambiguous_sets(collect_translation_sets(records), records, cross, target, config)
@@ -215,7 +224,7 @@ def cmd_alpha(args):
 
 
 def cmd_splits(args):
-    records, _ = parse_corpus(args.input, lenient=args.lenient)
+    records = _read_corpus(args)
     helpful = _read_bool_csv(args.decisions, "task_id,helpful")
     write_manifest(args.out, args, [args.input, args.decisions])
     assignment = build_splits(records, helpful, seed=args.seed, evaluation_cap=args.eval_cap)
@@ -226,21 +235,21 @@ def cmd_splits(args):
 
 
 def cmd_vocab(args):
-    records, _ = parse_corpus(args.input, lenient=args.lenient)
+    records = _read_corpus(args)
     write_manifest(args.out, args, [args.input])
     vocab = build_vocabulary(records, args.side, args.min_count)
     vocab.save(args.out)
 
 
 def cmd_flags(args):
-    records, _ = parse_corpus(args.input, lenient=args.lenient)
+    records = _read_corpus(args)
     write_manifest(args.out, args, [args.input])
     flags = flag_ambiguous_samples(records, collect_translation_sets(records))
     _write_bool_csv(args.out, "id,flag", [(r.id, flags[r.id]) for r in records])
 
 
 def cmd_context(args):
-    records, _ = parse_corpus(args.input, lenient=args.lenient)
+    records = _read_corpus(args)
     write_manifest(args.out, args, [args.input])
     write_corpus(args.out, build_context_corpus(records))
 

@@ -176,6 +176,49 @@ def test_malformed_votes_and_similarity_header_name_the_file(corpus, tmp_path, c
     assert f"error: {matrix}:1: expected header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stamp", ["1e400", "Infinity", "-Infinity", "[" * 100_000 + "]" * 100_000],
+                         ids=["1e400", "Infinity", "-Infinity", "nested-100000-deep"])
+def test_overflowing_timestamp_is_a_malformed_line(corpus, tmp_path, capsys, stamp):
+    lines = CORPUS.splitlines()
+    lines[1] = lines[1].replace('"start_ms": 20000', f'"start_ms": {stamp}')
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "windows.jsonl"
+    assert _run("pipeline", "windows", "--in", corpus, "--out", out) == 1
+    assert f"error: {corpus}:2: " in capsys.readouterr().err
+    assert _run("pipeline", "windows", "--in", corpus, "--out", out, "--lenient") == 0
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a1", "a3", "a4"]
+
+
+@pytest.mark.parametrize("stage, text", [
+    ("windows", CORPUS), ("votes", VOTES), ("ambiguous", "SIM v1 4\n" + "1 " * 16),
+], ids=["corpus", "votes", "similarity-matrix"])
+def test_input_that_is_not_utf8_names_the_file(corpus, tmp_path, capsys, stage, text):
+    bad = tmp_path / "bad.txt"
+    head, _, tail = text.partition("\n")
+    bad.write_bytes(f"{head}\n".encode() + b"\xff" + tail.encode())
+    matrices = ["--scorer", "matrix", "--cross-matrix", bad, "--target-matrix", bad]
+    argv = ["--in", corpus, *matrices] if stage == "ambiguous" else ["--in", bad]
+    assert _run("pipeline", stage, *argv, "--out", tmp_path / "out") == 1
+    assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, flags", [
+    ("windows", []), ("transets", []), ("ambiguous", []),
+    ("splits", ["--decisions", "decisions.csv"]), ("vocab", ["--side", "target"]),
+    ("flags", []), ("context", []),
+])
+def test_lenient_stages_report_skipped_lines(corpus, tmp_path, capsys, stage, flags):
+    (tmp_path / "decisions.csv").write_text("task_id,helpful\na1,true\n", encoding="utf-8")
+    flags = [tmp_path / f if f.endswith(".csv") else f for f in flags]
+    assert _run("pipeline", stage, "--in", corpus, "--out", tmp_path / "clean", *flags) == 0
+    lines = CORPUS.splitlines()
+    lines[1:1] = ['{"id": "x1"}', "not json"]
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _run("pipeline", stage, "--in", corpus, "--out", tmp_path / "out", "--lenient", *flags) == 0
+    assert capsys.readouterr().err == f"skipped 2 malformed lines of {corpus}: [2, 3]\n"
+    assert (tmp_path / "out").read_bytes() == (tmp_path / "clean").read_bytes()
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--schedule", "0.8,x"], "--schedule"),
     (["--schedule", "0.3,0.8"], "--schedule"),

@@ -1,11 +1,15 @@
-"""Property tests: checkpoint round trips, corrupted binaries, ambiguous-set selection.
+"""Property tests: checkpoint round trips, corrupted binaries, ambiguous-set selection,
+corpus parsing and the baseline similarity.
 
 Examples are derandomized, so every run checks the same inputs.
 """
 
 import itertools
+import json
 import math
+import re
 import struct
+from collections import Counter
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -18,9 +22,11 @@ from safa.corpus import (
     AmbiguousTranslationSet,
     CorpusParseError,
     SubtitleRecord,
+    baseline_similarity,
     collect_translation_sets,
     load_video_features,
     normalize_text,
+    parse_corpus,
     save_video_features,
     select_ambiguous_sets,
 )
@@ -151,3 +157,107 @@ def test_ambiguous_selection_matches_the_per_level_oracle(draw):
     sets = collect_translation_sets(records)
     assert (select_ambiguous_sets(sets, records, cross_sim, target_sim, config)
             == _select_per_level(sets, records, cross_sim, target_sim, config))
+
+
+_RECORD_KEYS = ("id", "source_text", "target_text", "start_ms", "end_ms", "video_id")
+
+
+def _parse_corpus_per_line(path, lenient=False):
+    """Straight-line parser: ``json.loads`` per stripped line, fields by keyword."""
+    records, skipped = [], []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                missing = [k for k in _RECORD_KEYS if k not in obj]
+                if missing:
+                    raise ValueError(f"missing field {missing[0]!r}")
+                records.append(SubtitleRecord(
+                    id=str(obj["id"]), source_text=str(obj["source_text"]),
+                    target_text=str(obj["target_text"]), start_ms=int(obj["start_ms"]),
+                    end_ms=int(obj["end_ms"]), video_id=str(obj["video_id"]),
+                    split_hint=obj.get("split_hint"),
+                ))
+            except (ValueError, TypeError) as exc:
+                if lenient:
+                    skipped.append(lineno)
+                else:
+                    raise CorpusParseError(f"{path}:{lineno}: {exc}") from None
+    return records, skipped
+
+
+# str.splitlines() splits at each of these; JSON leaves the first three raw inside strings
+_LINE_LIKE = "\u2028\u2029\x85\x1c\x0b\x0c"
+_texts = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from(_LINE_LIKE + " x"),
+                 min_size=1, max_size=6)
+_odd_stamps = st.sampled_from([-1, 1.5, "7", None, True, 0])
+
+
+@st.composite
+def _corpus_lines(draw):
+    start = draw(st.integers(0, 10**6))
+    start, end = draw(st.sampled_from([(start, start + draw(st.integers(1, 10**4))),
+                                       (draw(_odd_stamps), draw(_odd_stamps))]))
+    obj = {"id": draw(_texts | st.integers()), "source_text": draw(_texts),
+           "target_text": draw(_texts), "start_ms": start, "end_ms": end,
+           "video_id": draw(_texts)}
+    if draw(st.booleans()):
+        obj["split_hint"] = draw(st.none() | _texts)
+    kind = draw(st.sampled_from(["record", "record", "record", "missing", "trailing",
+                                 "non-object", "blank", "broken"]))
+    if kind == "missing":
+        del obj[draw(st.sampled_from(_RECORD_KEYS))]
+    if kind == "non-object":
+        obj = draw(st.sampled_from([list(_RECORD_KEYS), " ".join(_RECORD_KEYS), 5, None, []]))
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    if kind == "trailing":
+        line += draw(st.sampled_from([" x", "{}", " 1", "]", ' "a"']))
+    if kind == "blank":
+        line = ""
+    if kind == "broken":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    pad = st.text(st.sampled_from(" \t\u3000" + _LINE_LIKE), max_size=2)
+    return draw(pad) + line + draw(pad)
+
+
+def _parse_outcome(parse, path, lenient):
+    try:
+        return parse(path, lenient=lenient)
+    except CorpusParseError as exc:
+        return ("error", re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc)).group(1))
+
+
+@settings(max_examples=100, **_SETTINGS)
+@given(lines=st.lists(_corpus_lines(), max_size=6), ending=st.sampled_from(["\n", "\r\n"]))
+def test_parse_corpus_matches_the_per_line_oracle(tmp_path, lines, ending):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(ending.join(lines).encode())
+    for lenient in (False, True):
+        assert (_parse_outcome(parse_corpus, path, lenient)
+                == _parse_outcome(_parse_corpus_per_line, path, lenient))
+
+
+def _string_trigram_similarity(a, b):
+    """Cosine of string-keyed 3-gram Counters, normalized with np.sqrt."""
+    def grams(text):
+        padded = "\ue000" * 2 + text + "\ue000" * 2
+        return Counter(padded[i:i + 3] for i in range(len(padded) - 2))
+
+    ca, cb = grams(a), grams(b)
+    dot = sum(ca[g] * cb[g] for g in ca.keys() & cb.keys())
+    norm = np.sqrt(sum(v * v for v in ca.values())) * np.sqrt(sum(v * v for v in cb.values()))
+    return float(dot / norm)
+
+
+_similarity_texts = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from("ab \ue000"),
+                            min_size=1, max_size=40)
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(a=_similarity_texts, b=_similarity_texts)
+def test_baseline_similarity_equals_the_string_counter_formula(a, b):
+    for x, y in ((a, b), (a, a + b), (b, b)):
+        assert baseline_similarity(x, y) == _string_trigram_similarity(x, y)
