@@ -19,6 +19,7 @@ from .corpus import (
     AmbiguitySelectionConfig,
     MatrixScorer,
     Vocabulary,
+    _utf8_named,
     aggregate_votes,
     baseline_similarity,
     build_context_corpus,
@@ -132,7 +133,7 @@ def _write_bool_csv(path, header, rows):
 def _read_bool_csv(path, header):
     """Read a table written by ``_write_bool_csv`` into {key: flag}."""
     table = {}
-    with open(path, encoding="utf-8") as f:
+    with _utf8_named(path), open(path, encoding="utf-8") as f:
         first = f.readline().strip()
         if first != header:
             raise ValueError(f"{path}:1: bad header {first!r}, expected {header!r}")
@@ -344,6 +345,13 @@ def _load_vocabs(args, train_records):
 
 
 def cmd_train(args):
+    tc = TrainConfig(
+        tokens_per_batch=args.tokens_per_batch, max_steps=args.max_steps,
+        max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
+        clip_norm=None if args.no_clip else args.clip_norm,
+        checkpoint_every=args.checkpoint_every,
+        schedule=Schedule(args.warmup_steps, args.lr_start, args.lr_peak),
+    )
     train_records, _ = parse_corpus(args.train)
     val_records, _ = parse_corpus(args.val)
     _require(train_records, args.train, "no records to train on")
@@ -368,13 +376,6 @@ def cmd_train(args):
     write_manifest(args.out, args, inputs, resolved=asdict(cfg))
     if skipped_train:
         print(f"skipped {len(skipped_train)} oversized sentences: {skipped_train}", file=sys.stderr)
-    tc = TrainConfig(
-        tokens_per_batch=args.tokens_per_batch, max_steps=args.max_steps,
-        max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
-        clip_norm=None if args.no_clip else args.clip_norm,
-        checkpoint_every=args.checkpoint_every,
-        schedule=Schedule(args.warmup_steps, args.lr_start, args.lr_peak),
-    )
     params = ModelParameters.build(cfg, seed=args.seed)
 
     def periodic_save(step, current):

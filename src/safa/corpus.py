@@ -148,7 +148,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
+        with _utf8_named(path), open(path, encoding="utf-8") as f:
             tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
         if tokens[:4] != list(RESERVED_TOKENS):
             raise ValueError(f"{path}: vocabulary must start with {RESERVED_TOKENS}")

@@ -8,7 +8,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, pad_rows
+from .corpus import BOS_ID, EOS_ID, _utf8_named, pad_rows
 from .model import (
     DecoderCache,
     ModelParameters,
@@ -204,7 +204,7 @@ def corpus_bleu(hypotheses, references):
 
 
 def read_sentences(path):
-    with open(path, encoding="utf-8") as f:
+    with _utf8_named(path), open(path, encoding="utf-8") as f:
         return [line.rstrip("\n") for line in f]
 
 

@@ -45,15 +45,17 @@ class ModelConfig:
     ambiguity_weight: float = 2.0
 
     def __post_init__(self):
-        for name in ("src_vocab_size", "tgt_vocab_size", "video_feature_dim", "d_model", "d_ffn", "heads"):
-            if getattr(self, name) < 1:
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("src_vocab_size", "tgt_vocab_size", "video_feature_dim", "d_model", "d_ffn", "heads",
+                     "gaussian_std", "temperature"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if self.ambiguity_weight < 1:
             raise ValueError("ambiguity_weight must be >= 1")
         if self.frame_loss_weight < 0:
@@ -238,10 +240,6 @@ class ModelParameters:
 
     def items(self):
         return self.tensors.items()
-
-    def zero_grad(self):
-        for t in self.tensors.values():
-            t.zero_grad()
 
     def copy(self):
         clone = {

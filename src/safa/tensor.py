@@ -54,9 +54,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -77,11 +74,10 @@ def _accumulate(t, g):
 
 
 class _Entry:
-    __slots__ = ("name", "inputs", "out", "backward")
+    __slots__ = ("name", "out", "backward")
 
-    def __init__(self, name, inputs, out, backward):
+    def __init__(self, name, out, backward):
         self.name = name
-        self.inputs = inputs
         self.out = out
         self.backward = backward
 
@@ -122,14 +118,15 @@ class Tape:
         tapes = _active.tapes
         return tapes[-1] if tapes else None
 
-    def _append(self, name, inputs, out, backward):
-        self.entries.append(_Entry(name, inputs, out, backward))
+    def _append(self, name, out, backward):
+        self.entries.append(_Entry(name, out, backward))
 
     def backward(self, loss):
         """Populate the gradients of the leaf tensors reachable from loss.
 
         Leaves are the requires_grad tensors no recorded primitive produced
-        (parameters, inputs). A recorded output's gradient is released once
+        (parameters, inputs); a leaf the loss does not reach keeps ``None``,
+        which reads as zero. A recorded output's gradient is released once
         its own backward has consumed it, so the pass reuses that memory
         instead of holding a gradient for every intermediate at once.
         """
@@ -143,12 +140,6 @@ class Tape:
             if entry.backward is not None and entry.out.grad is not None:
                 entry.backward()
                 entry.out.grad = None
-        # unreachable leaves hold zeros, not None
-        produced = {id(entry.out) for entry in self.entries}
-        for entry in self.entries:
-            for t in entry.inputs:
-                if t.requires_grad and t.grad is None and id(t) not in produced:
-                    t.grad = np.zeros_like(t.data)
 
 
 def _finish(name, inputs, out_data, backward):
@@ -167,19 +158,8 @@ def _finish(name, inputs, out_data, backward):
     out.requires_grad = any([t.requires_grad for t in inputs])
     tapes = _active.tapes
     if tapes:
-        tapes[-1]._append(name, inputs, out, backward if out.requires_grad else None)
+        tapes[-1]._append(name, out, backward if out.requires_grad else None)
     return out
-
-
-def _unbroadcast(grad, shape):
-    """Sum a broadcast gradient back down to the original shape, in one reduction."""
-    lead = grad.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + axis for axis, size in enumerate(shape) if size == 1 and grad.shape[lead + axis] != 1
-    )
-    if not axes:
-        return grad
-    return grad.sum(axis=axes, keepdims=True).reshape(shape)
 
 
 def _as_tensor(x):
@@ -229,20 +209,23 @@ def _row_max(x):
 
 
 def add(a, b):
+    """``a + b``; only a constant operand broadcasts, so no gradient is summed back."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
         out_data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
+    for t in (a, b):
+        if t.requires_grad and t.data.shape != out_data.shape:
+            raise ShapeError(f"add: {t.data.shape} needs a gradient, cannot broadcast to {out_data.shape}")
 
     def backward():
         g = out.grad
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
+            _accumulate(a, g)
         if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
             # when a adopted out.grad itself, b gets its own array
-            _accumulate(b, gb.copy() if gb is a.grad else gb)
+            _accumulate(b, g.copy() if g is a.grad else g)
 
     out = _finish("add", (a, b), out_data, backward)
     return out
@@ -283,7 +266,7 @@ def scale(a, factor):
 
 
 def matmul(a, b):
-    """Batched ``a @ b`` as in ``np.matmul``; a product against a 2-D weight is ``linear``."""
+    """Batched ``a @ b`` as in ``np.matmul``; only a constant broadcasts. A 2-D weight takes ``linear``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: operands must have rank >= 2, got {a.data.shape} @ {b.data.shape}")
@@ -292,13 +275,16 @@ def matmul(a, b):
             f"matmul: contraction mismatch, axis -1 of {a.data.shape} vs axis -2 of {b.data.shape}"
         )
     out_data = np.matmul(a.data, b.data)
+    for t in (a, b):
+        if t.requires_grad and t.data.shape[:-2] != out_data.shape[:-2]:
+            raise ShapeError(f"matmul: {t.data.shape} needs a gradient, cannot broadcast to {out_data.shape}")
 
     def backward():
         g = out.grad
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+            _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+            _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     out = _finish("matmul", (a, b), out_data, backward)
     return out

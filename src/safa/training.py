@@ -54,7 +54,11 @@ class AdamState:
 
 
 def adam_step(params, state, lr, clip_norm=None):
-    """One bias-corrected Adam update, optionally after global-norm clipping."""
+    """One bias-corrected Adam update, optionally after global-norm clipping.
+
+    A ``None`` gradient reads as zero. Every gradient is reset to ``None``
+    afterwards, so the next backward's first write adopts its array.
+    """
     if lr <= 0:
         raise ValueError("lr must be positive")
     grads = {}
@@ -81,6 +85,7 @@ def adam_step(params, state, lr, clip_norm=None):
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        p.grad = None
 
 
 @dataclass
@@ -93,6 +98,10 @@ class TrainConfig:
     clip_norm: float | None = 1.0
     checkpoint_every: int = 0     # steps between periodic saves; 0 = best only
     schedule: Schedule = field(default_factory=Schedule)
+
+    def __post_init__(self):
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ValueError(f"clip_norm must be None or a finite number > 0, got {self.clip_norm}")
 
 
 @dataclass
@@ -209,7 +218,6 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
             batch = train_batches[index]
             step += 1
             lr = lr_at_step(step, tc.schedule)
-            params.zero_grad()
             try:
                 with Tape() as tape:
                     _, breakdown = forward_full(

@@ -189,16 +189,26 @@ def test_overflowing_timestamp_is_a_malformed_line(corpus, tmp_path, capsys, sta
     assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a1", "a3", "a4"]
 
 
-@pytest.mark.parametrize("stage, text", [
-    ("windows", CORPUS), ("votes", VOTES), ("ambiguous", "SIM v1 4\n" + "1 " * 16),
-], ids=["corpus", "votes", "similarity-matrix"])
-def test_input_that_is_not_utf8_names_the_file(corpus, tmp_path, capsys, stage, text):
+_TRAIN_ON_CORPUS = ["train", "--train", "CORPUS", "--val", "CORPUS", "--features", "TMP"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["pipeline", "windows", "--in", "BAD"], CORPUS),
+    (["pipeline", "votes", "--in", "BAD"], VOTES),
+    (["pipeline", "ambiguous", "--in", "CORPUS", "--scorer", "matrix", "--cross-matrix", "BAD",
+      "--target-matrix", "BAD"], "SIM v1 4\n" + "1 " * 16),
+    (["pipeline", "splits", "--in", "CORPUS", "--decisions", "BAD"], "task_id,helpful\na1,true\n"),
+    (_TRAIN_ON_CORPUS + ["--flags", "BAD"], "id,flag\na1,true\n"),
+    (_TRAIN_ON_CORPUS + ["--src-vocab", "BAD", "--tgt-vocab", "BAD"], "<pad>\n<unk>\n<bos>\n<eos>\n"),
+    (["bleu", "--hyp", "BAD", "--ref", "BAD"], "go now\nhi\n"),
+], ids=["corpus", "votes", "similarity-matrix", "decisions", "train-flags", "vocabulary", "bleu-hypotheses"])
+def test_input_that_is_not_utf8_names_the_file(corpus, tmp_path, capsys, argv, text):
     bad = tmp_path / "bad.txt"
     head, _, tail = text.partition("\n")
     bad.write_bytes(f"{head}\n".encode() + b"\xff" + tail.encode())
-    matrices = ["--scorer", "matrix", "--cross-matrix", bad, "--target-matrix", bad]
-    argv = ["--in", corpus, *matrices] if stage == "ambiguous" else ["--in", bad]
-    assert _run("pipeline", stage, *argv, "--out", tmp_path / "out") == 1
+    paths = {"BAD": bad, "CORPUS": corpus, "TMP": tmp_path}
+    out = [] if argv[0] == "bleu" else ["--out", tmp_path / "out"]
+    assert _run(*[paths.get(a, a) for a in argv], *out) == 1
     assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
 
 
@@ -369,11 +379,13 @@ def test_invalid_model_config_exits_one_naming_the_file(tmp_path, capsys):
     synth_dir, decode_args = _train_tiny_model(tmp_path)
     cfg_path = decode_args[decode_args.index("--model-config") + 1]
     text = cfg_path.read_text(encoding="utf-8")
-    assert "heads = 2\n" in text and "d_model = 8\n" in text
+    assert "heads = 2\n" in text and "d_model = 8\n" in text and "gaussian_std = 1.0\n" in text
     bad_texts = {
         "heads0.cfg": text.replace("heads = 2\n", "heads = 0\n"),
         "fractional.cfg": text.replace("d_model = 8\n", "d_model = 8.5\n"),
         "unknown.cfg": text + "bogus = 1\n",
+        "std0.cfg": text.replace("gaussian_std = 1.0\n", "gaussian_std = 0\n"),
+        "stdnan.cfg": text.replace("gaussian_std = 1.0\n", "gaussian_std = nan\n"),
     }
     train_args = [
         "train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
@@ -391,6 +403,7 @@ def test_invalid_model_config_exits_one_naming_the_file(tmp_path, capsys):
             assert _run(*argv) == 1, (name, argv[0])
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad}: "), err
+            assert not any((tmp_path / f).exists() for f in ("hyps.txt.manifest.json", "again.ckpt.manifest.json"))
 
 
 def test_train_model_config_may_set_any_keys_and_flags_win(tmp_path, capsys):
@@ -465,6 +478,28 @@ def test_train_without_usable_sentences_names_the_file(tmp_path, capsys, case):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {val if case == 'val-empty' else train}: "), err
+    assert not out.exists() and not (tmp_path / "model.ckpt.manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--clip-norm", "-1"], "clip_norm"), (["--clip-norm", "0"], "clip_norm"),
+    (["--clip-norm", "nan"], "clip_norm"), (["--clip-norm", "inf"], "clip_norm"),
+    (["--warmup-steps", "0"], "warmup_steps"), (["--temperature", "nan"], "temperature"),
+], ids=["clip-negative", "clip-zero", "clip-nan", "clip-inf", "warmup-zero", "temperature-nan"])
+def test_train_bad_numbers_exit_one_before_the_manifest(tmp_path, capsys, flags, named):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    out = tmp_path / "model.ckpt"
+    capsys.readouterr()
+    code = _run(
+        "train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+        "--features", synth_dir / "features", "--out", out, "--vocab-min-count", 1, "--max-steps", 1,
+        "--encoder-layers", 1, "--decoder-layers", 1, "--d-model", 8, "--d-ffn", 16, "--heads", 2, *flags,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
     assert not out.exists() and not (tmp_path / "model.ckpt.manifest.json").exists()
 
 

@@ -88,6 +88,10 @@ def test_config_defaults_and_validation():
         ModelConfig(src_vocab_size=10, tgt_vocab_size=10, video_feature_dim=8, temperature=0.0)
     with pytest.raises(ValueError):
         ModelConfig(src_vocab_size=10, tgt_vocab_size=10, video_feature_dim=8, ambiguity_weight=0.5)
+    for key, value in (("gaussian_std", 0.0), ("gaussian_std", math.nan), ("temperature", math.nan),
+                       ("gaussian_mean", math.inf), ("frame_loss_weight", math.inf)):
+        with pytest.raises(ValueError, match=key):
+            ModelConfig(src_vocab_size=10, tgt_vocab_size=10, video_feature_dim=8, **{key: value})
 
 
 def test_config_text_round_trip():

@@ -60,11 +60,13 @@ def _toy_params(values):
 
 
 def test_adam_zero_gradients_leave_parameters():
-    params = _toy_params({"w": [1.0, -2.0]})
-    params["w"].zero_grad()
+    # a gradient that is None reads as zero
+    params = _toy_params({"w": [1.0, -2.0], "z": [3.0]})
+    params["z"].grad = np.zeros(1)
     state = AdamState(params)
     adam_step(params, state, lr=0.1)
     np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
+    np.testing.assert_array_equal(params["z"].data, [3.0])
 
 
 def test_adam_first_step_is_signed_lr():
@@ -74,13 +76,14 @@ def test_adam_first_step_is_signed_lr():
     adam_step(params, state, lr=0.1, clip_norm=None)
     # bias-corrected first step moves by ~lr against the gradient sign
     np.testing.assert_allclose(params["w"].data, [1.0 - 0.1, 1.0 + 0.1], atol=1e-6)
+    # the step consumes the gradient: the next backward's first write adopts its array
+    assert params["w"].grad is None
 
 
 def test_adam_converges_on_square():
     params = _toy_params({"x": [5.0]})
     state = AdamState(params)
     for _ in range(100):
-        params["x"].zero_grad()
         with Tape() as tape:
             loss = weighted_sum(lerp(np.zeros(1), params["x"], params["x"]), np.ones(1))  # x * x
             tape.backward(loss)
@@ -227,6 +230,8 @@ def test_train_metrics_log_shape():
     step_rows = [m for m in result.metrics if m["train_loss"] is not None]
     val_rows = [m for m in result.metrics if m["val_loss"] is not None]
     assert len(step_rows) == 3 and len(val_rows) >= 1
+    # each step's Adam update clears the gradients it read
+    assert [name for name, t in params.items() if t.grad is not None] == []
     assert {"step", "lr", "train_loss", "translation_loss", "frame_loss", "val_loss"} <= set(step_rows[0])
 
 
