@@ -319,14 +319,37 @@ def _resolve_model_config(args, src_vocab, tgt_vocab, features):
     data = {"src_vocab_size": len(src_vocab), "tgt_vocab_size": len(tgt_vocab),
             "frames_per_clip": sample.shape[0], "video_feature_dim": sample.shape[1]}
     flags = {key: getattr(args, key) for key in _MODEL_OVERRIDES if getattr(args, key) is not None}
-    if not args.model_config:
-        return ModelConfig(**data, **flags)
-    with _naming(args.model_config):
-        kwargs = ModelConfig.parse_text(Path(args.model_config).read_text(encoding="utf-8"))
-        for key, value in data.items():
-            if kwargs.setdefault(key, value) != value:
-                raise ValueError(f"{key} is {kwargs[key]}, but the data gives {value}")
+    kwargs = data
+    if args.model_config:
+        with _naming(args.model_config):
+            kwargs = ModelConfig.parse_text(Path(args.model_config).read_text(encoding="utf-8"))
+            for key, value in data.items():
+                if kwargs.setdefault(key, value) != value:
+                    raise ValueError(f"{key} is {kwargs[key]}, but the data gives {value}")
+    try:
         return ModelConfig(**{**kwargs, **flags})
+    except ValueError as exc:
+        raise ValueError(f"{_model_input_at_fault(kwargs, flags, args.model_config)}: {exc}") from None
+
+
+def _model_input_at_fault(kwargs, flags, path):
+    """What an invalid model config blames.
+
+    The file at ``path`` when its values fail without the flags; otherwise
+    the flags that fail alone over them, or every flag given. The data's
+    values alone always hold, so without a file the flags are at fault.
+    """
+    def valid(values):
+        try:
+            ModelConfig(**values)
+        except ValueError:
+            return False
+        return True
+
+    if not flags or not valid(kwargs):
+        return path
+    alone = [key for key, value in flags.items() if not valid({**kwargs, key: value})]
+    return ", ".join("--" + key.replace("_", "-") for key in alone or flags)
 
 
 def _add_model_flags(parser):

@@ -82,10 +82,14 @@ def _score(logprob, length, penalty):
 def log_normalize(logits):
     """Log-probabilities of logits over the last axis: the one normalizer of decoding and scoring.
 
-    ``[..., None]`` rather than ``keepdims=True``: same values, and the
-    keyword cost about 1% of a beam-5 decode, which calls this once per row.
+    The max-shifted log-softmax, ``(x - max) - log(sum(exp(x - max)))``, as
+    ``smoothed_cross_entropy`` computes it in training. Not
+    ``np.logaddexp.reduce``: that reduction runs sequentially and takes
+    about 8x as long per 2000-token row, for the same values within a few ulps.
     """
-    return logits - np.logaddexp.reduce(logits, axis=-1)[..., None]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _offers(logits, k):

@@ -151,7 +151,6 @@ class ModelOutput:
     logits: Tensor            # (B, T-1, |V_tgt|)
     frame_attention: Tensor   # (B, S, M)
     gate: Tensor              # (B, S, d_model)
-    fused: Tensor             # (B, S, d_model)
 
 
 @dataclass
@@ -561,7 +560,4 @@ def forward_full(batch, features, p, cfg, training=False, rng=None):
     )
     frame_loss = frame_attention_loss(frame_attention, target, batch.src_mask)
     breakdown = total_loss(per_sample, batch.flags, frame_loss, cfg)
-    output = ModelOutput(
-        logits=logits, frame_attention=frame_attention, gate=gate, fused=fused
-    )
-    return output, breakdown
+    return ModelOutput(logits=logits, frame_attention=frame_attention, gate=gate), breakdown

@@ -496,11 +496,9 @@ def kl_divergence(p, target):
 def sigmoid(a):
     a = _as_tensor(a)
     x = a.data
-    pos = x >= 0
-    out_data = np.empty_like(x)
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out_data[~pos] = e / (1.0 + e)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def backward():
         s = out.data

@@ -53,6 +53,12 @@ class AdamState:
         self.second = {name: np.zeros_like(t.data) for name, t in params.items()}
 
 
+def _check_clip_norm(clip_norm):
+    """A global-norm clip is None (no clipping) or a finite number > 0: 0 freezes, < 0 ascends."""
+    if clip_norm is not None and not 0 < clip_norm < math.inf:
+        raise ValueError(f"clip_norm must be None or a finite number > 0, got {clip_norm}")
+
+
 def adam_step(params, state, lr, clip_norm=None):
     """One bias-corrected Adam update, optionally after global-norm clipping.
 
@@ -61,6 +67,7 @@ def adam_step(params, state, lr, clip_norm=None):
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
+    _check_clip_norm(clip_norm)
     grads = {}
     for name, t in params.items():
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -100,8 +107,7 @@ class TrainConfig:
     schedule: Schedule = field(default_factory=Schedule)
 
     def __post_init__(self):
-        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
-            raise ValueError(f"clip_norm must be None or a finite number > 0, got {self.clip_norm}")
+        _check_clip_norm(self.clip_norm)
 
 
 @dataclass

@@ -438,6 +438,37 @@ def test_train_model_config_may_set_any_keys_and_flags_win(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: frames_per_clip is 7, but the data gives 6"), err
 
 
+@pytest.mark.parametrize("file_text, flags, blamed", [
+    ("d_model = 16\n", ["--temperature", "nan"], "--temperature: temperature must be finite, got nan"),
+    ("d_model = 16\n", ["--dropout", "0.2", "--heads", "3"], "--heads: d_model 16 not divisible by heads 3"),
+    # each flag is valid over the file alone; together they are not
+    ("d_model = 16\n", ["--d-model", "12", "--heads", "8"], "--d-model, --heads: d_model 12 not divisible"),
+    ("gaussian_std = 0\n", ["--temperature", "2"], "{cfg}: gaussian_std must be positive"),
+    (None, ["--temperature", "nan"], "--temperature: temperature must be finite, got nan"),
+], ids=["flag", "one-of-two-flags", "flags-together", "file", "flag-without-file"])
+def test_train_invalid_model_config_names_the_file_or_flag_at_fault(tmp_path, capsys, file_text, flags, blamed):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    given = []
+    if file_text is not None:
+        cfg = tmp_path / "good.cfg"
+        cfg.write_text(file_text, encoding="utf-8")
+        given = ["--model-config", cfg]
+        blamed = blamed.format(cfg=cfg)
+    out = tmp_path / "model.ckpt"
+    capsys.readouterr()
+    code = _run(
+        "train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+        "--features", synth_dir / "features", "--out", out, "--vocab-min-count", 1, "--max-steps", 1,
+        *given, *flags,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {blamed}"), err
+    assert not (tmp_path / "model.ckpt.manifest.json").exists()
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (6, 0)], ids=["no-frames", "no-dim"])
 def test_train_zero_sized_features_name_the_file(tmp_path, capsys, shape):
     synth_dir = tmp_path / "synth"

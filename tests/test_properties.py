@@ -1,5 +1,5 @@
 """Property tests: checkpoint round trips, corrupted binaries, ambiguous-set selection,
-corpus parsing and the baseline similarity.
+corpus parsing, the baseline similarity, the decoding normalizer and greedy search.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -18,6 +18,8 @@ from hypothesis.extra import numpy as hnp
 
 from safa import tensor as T
 from safa.corpus import (
+    BOS_ID,
+    EOS_ID,
     AmbiguitySelectionConfig,
     AmbiguousTranslationSet,
     CorpusParseError,
@@ -30,7 +32,9 @@ from safa.corpus import (
     save_video_features,
     select_ambiguous_sets,
 )
-from safa.model import ModelConfig, ModelParameters
+from safa.evaluation import DecodeConfig, _fuse_sources, beam_decode, log_normalize
+from safa.model import ModelConfig, ModelParameters, VideoFeatureBatch, decode
+from safa.tensor import Tensor
 
 # each example rewrites the same file under tmp_path, so sharing it across examples is safe
 _SETTINGS = dict(derandomize=True, database=None, deadline=None,
@@ -261,3 +265,54 @@ _similarity_texts = st.text(st.characters(exclude_categories=("Cs",)) | st.sampl
 def test_baseline_similarity_equals_the_string_counter_formula(a, b):
     for x, y in ((a, b), (a, a + b), (b, b)):
         assert baseline_similarity(x, y) == _string_trigram_similarity(x, y)
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(logits=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=40),
+                         elements=st.floats(-700.0, 700.0)))
+def test_log_normalize_matches_the_logaddexp_oracle(logits):
+    logp = log_normalize(logits)
+    oracle = logits - np.logaddexp.reduce(logits, axis=-1)[..., None]
+    # the sequential oracle itself errs by some ulps of the row's largest logit
+    scale = np.maximum(1.0, np.abs(logits).max(axis=-1, keepdims=True))
+    assert np.all(np.abs(logp - oracle) <= 1e-13 * scale)
+    assert np.all(np.abs(np.exp(logp).sum(axis=-1) - 1.0) <= 1e-14)
+
+
+def _greedy_rollout(params, cfg, src, src_mask, features, max_length):
+    """Beam 1 computed independently: argmax over full-prefix ``decode`` calls, one sentence at a time."""
+    fused, _ = _fuse_sources(src, src_mask, features, params, cfg)
+    out = []
+    for i in range(src.shape[0]):
+        ids = []
+        for _ in range(max_length):
+            prefix = np.array([[BOS_ID] + ids], dtype=np.int64)
+            logits = decode(Tensor(fused.data[i][None]), prefix, np.ones_like(prefix, dtype=bool),
+                            src_mask[i][None], params, cfg)
+            token = int(np.argmax(logits.data[0, -1]))
+            if token == EOS_ID:
+                break
+            ids.append(token)
+        out.append(ids)
+    return out
+
+
+@settings(max_examples=25, **_SETTINGS)
+@given(draw=st.data())
+def test_beam_one_equals_the_greedy_rollout(draw):
+    heads = draw.draw(st.sampled_from([1, 2]))
+    cfg = ModelConfig(
+        src_vocab_size=draw.draw(st.integers(5, 12)), tgt_vocab_size=draw.draw(st.integers(5, 12)),
+        video_feature_dim=draw.draw(st.integers(1, 3)), encoder_layers=draw.draw(st.integers(1, 2)),
+        decoder_layers=draw.draw(st.integers(1, 2)), d_model=4 * heads, d_ffn=8, heads=heads,
+        dropout=0.0, frames_per_clip=draw.draw(st.integers(1, 4)),
+    )
+    params = ModelParameters.build(cfg, seed=draw.draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**16)))
+    lengths = rng.integers(1, 6, size=draw.draw(st.integers(1, 5)))
+    src_mask = np.arange(lengths.max()) < lengths[:, None]
+    src = np.where(src_mask, rng.integers(4, cfg.src_vocab_size, size=src_mask.shape), 0)
+    features = VideoFeatureBatch(rng.standard_normal((len(lengths), cfg.frames_per_clip, cfg.video_feature_dim)))
+    max_length = draw.draw(st.integers(1, 6))
+    hyps = beam_decode(params, cfg, src, src_mask, features, DecodeConfig(beam_size=1, max_length=max_length))
+    assert hyps == _greedy_rollout(params, cfg, src, src_mask, features, max_length)

@@ -36,6 +36,20 @@ def test_sigmoid_at_zero():
     assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
 
 
+def test_sigmoid_is_bit_identical_to_the_masked_formula():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        rng.standard_normal(100_000) * rng.choice([1e-3, 1.0, 30.0, 800.0], size=100_000),
+        [0.0, -0.0, 750.0, -750.0, 1e300, -1e300, 5e-324, -5e-324],
+    ])
+    pos = x >= 0
+    expected = np.empty_like(x)
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    expected[~pos] = e / (1.0 + e)
+    assert T.sigmoid(Tensor(x)).data.tobytes() == expected.tobytes()
+
+
 def _product(x, y):
     """``x * y`` of two tensors of one shape, as ``lerp(0, x, y)``."""
     return T.lerp(np.zeros(x.shape), x, y)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ def test_adam_rejects_non_finite_gradient():
     params["broken"].grad = np.array([np.nan])
     with pytest.raises(NonFiniteGradientError, match="broken"):
         adam_step(params, AdamState(params), lr=0.1)
+
+
+@pytest.mark.parametrize("clip_norm", [-1.0, 0.0, math.nan, math.inf])
+def test_adam_rejects_a_clip_norm_that_is_not_finite_and_positive(clip_norm):
+    # -1 would scale the gradient by -0.5 and ascend (w 1.0 -> 1.1); 0 would freeze w
+    params = _toy_params({"w": [1.0]})
+    params["w"].grad = np.array([2.0])
+    state = AdamState(params)
+    with pytest.raises(ValueError, match="clip_norm must be None or a finite number > 0"):
+        adam_step(params, state, lr=0.1, clip_norm=clip_norm)
+    assert params["w"].data[0] == 1.0 and state.step_count == 0
 
 
 def test_adam_global_norm_clip():
