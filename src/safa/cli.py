@@ -297,6 +297,24 @@ def _naming(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+# the flag that sets each field of TrainConfig, its Schedule and DecodeConfig
+_TRAIN_FLAGS = {name: "--" + name.replace("_", "-") for name in (
+    "max_steps", "max_epochs", "patience", "clip_norm", "checkpoint_every", "warmup_steps")}
+_DECODE_FLAGS = {"beam_size": "--beam", "max_length": "--max-length", "length_penalty": "--length-penalty"}
+
+
+@contextmanager
+def _flag_named(flags):
+    """Prefix a config's ValueError with the flag, from ``flags``, of the field its message starts with."""
+    try:
+        yield
+    except ValueError as exc:
+        flag = flags.get(str(exc).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _require(items, path, what):
     """Raise an input error naming ``path`` when ``items`` is empty."""
     if not items:
@@ -368,13 +386,14 @@ def _load_vocabs(args, train_records):
 
 
 def cmd_train(args):
-    tc = TrainConfig(
-        tokens_per_batch=args.tokens_per_batch, max_steps=args.max_steps,
-        max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
-        clip_norm=None if args.no_clip else args.clip_norm,
-        checkpoint_every=args.checkpoint_every,
-        schedule=Schedule(args.warmup_steps, args.lr_start, args.lr_peak),
-    )
+    with _flag_named(_TRAIN_FLAGS):
+        tc = TrainConfig(
+            tokens_per_batch=args.tokens_per_batch, max_steps=args.max_steps,
+            max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
+            clip_norm=None if args.no_clip else args.clip_norm,
+            checkpoint_every=args.checkpoint_every,
+            schedule=Schedule(args.warmup_steps, args.lr_start, args.lr_peak),
+        )
     train_records, _ = parse_corpus(args.train)
     val_records, _ = parse_corpus(args.val)
     _require(train_records, args.train, "no records to train on")
@@ -449,8 +468,9 @@ def _load_model(args):
 
 
 def cmd_decode(args):
+    with _flag_named(_DECODE_FLAGS):
+        dc = DecodeConfig(args.beam, args.max_length, args.length_penalty)
     _, _, tgt_vocab, cfg, params, src, mask, feats = _load_model(args)
-    dc = DecodeConfig(args.beam, args.max_length, args.length_penalty)
     hypotheses = beam_decode(params, cfg, src, mask, feats, dc)
     with open(args.out, "w", encoding="utf-8") as f:
         for ids in hypotheses:
@@ -488,6 +508,8 @@ def cmd_attn_dump(args):
 
 
 def cmd_grad_check(args):
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     worst = 0.0
     for offset in range(args.repeats):
         err = gradient_check_full_loss(args.seed + offset, d_model=args.d_model, frames=args.frames)

@@ -34,6 +34,8 @@ class DecodeConfig:
             raise ValueError("beam_size must be >= 1")
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
+        if not math.isfinite(self.length_penalty):
+            raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
 
 
 def _fuse_sources(src, src_mask, features, params, cfg):

@@ -264,6 +264,8 @@ class ModelParameters:
                 raise T.CheckpointError(
                     f"{path}: checkpoint parameter {name!r} has shape {arrays[name].shape}, expected {shape}"
                 )
+            if not np.isfinite(arrays[name]).all():
+                raise T.CheckpointError(f"{path}: checkpoint parameter {name!r} has non-finite values")
             tensors[name] = Tensor(arrays[name], requires_grad=True)
         return cls(tensors, config)
 
@@ -302,13 +304,10 @@ def _maybe_dropout(x, rate, training, rng):
     return T.dropout(x, rate, mask)
 
 
-def _layer_norm(x, p, prefix):
-    return T.layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"])
-
-
 def _residual(x, sublayer, p, norm, cfg, training, rng):
-    """Post-norm residual: ``layer_norm(x + dropout(sublayer))`` with the ``norm`` gain and bias."""
-    return _layer_norm(T.add(x, _maybe_dropout(sublayer, cfg.dropout, training, rng)), p, norm)
+    """Post-norm residual: ``x + dropout(sublayer)``, layer-normalized with the ``norm`` gain and bias."""
+    sublayer = _maybe_dropout(sublayer, cfg.dropout, training, rng)
+    return T.residual_norm(x, sublayer, p[f"{norm}.gain"], p[f"{norm}.bias"])
 
 
 def _project_kv(x_kv, p, prefix):

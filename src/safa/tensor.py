@@ -3,7 +3,7 @@
 Every primitive validates shapes, refuses non-finite outputs, and (when a
 Tape is active) records one backward closure, run once by ``Tape.backward``.
 The model is a few fused primitives (``linear``, ``attention``,
-``attention_weights``, the affine ``layer_norm``, ``smoothed_cross_entropy``,
+``attention_weights``, the post-norm ``residual_norm``, ``smoothed_cross_entropy``,
 ``kl_divergence``, ``lerp``, ``weighted_sum``), so a forward records few tape
 entries. No GPU.
 """
@@ -522,20 +522,21 @@ def relu(a):
 _LN_EPS = 1e-5
 
 
-def layer_norm(a, gain, bias):
-    """Normalize the last axis to zero mean / unit variance, then ``* gain + bias``."""
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    d = a.data.shape[-1]
-    if d < 1:
-        raise ShapeError("layer_norm: last axis is empty")
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
+def residual_norm(x, sub, gain, bias):
+    """The post-norm residual: normalize ``x + sub`` over the last axis, then ``* gain + bias``.
+
+    As in ``add``, the sum's gradient goes to ``x``, and ``sub`` gets its own copy when ``x`` adopted it.
+    """
+    x, sub, gain, bias = _as_tensor(x), _as_tensor(sub), _as_tensor(gain), _as_tensor(bias)
+    d = x.data.shape[-1]
+    if sub.data.shape != x.data.shape or d < 1 or gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
-            f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} must both be ({d},)"
+            f"residual_norm: input {x.data.shape}, sublayer {sub.data.shape}, gain {gain.data.shape} "
+            f"and bias {bias.data.shape} do not conform"
         )
-    mean = _row_sum(a.data) / d
-    xhat = a.data - mean
-    var = _row_sum(xhat * xhat) / d
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = x.data + sub.data
+    xhat -= _row_sum(xhat) / d
+    inv = 1.0 / np.sqrt(_row_sum(xhat * xhat) / d + _LN_EPS)
     xhat *= inv  # centered until here
     out_data = xhat * gain.data
     out_data += bias.data
@@ -546,16 +547,18 @@ def layer_norm(a, gain, bias):
             _accumulate(gain, _col_sum((g * xhat).reshape(-1, d)))
         if bias.requires_grad:
             _accumulate(bias, _col_sum(g.reshape(-1, d)))
-        if a.requires_grad:
+        if x.requires_grad or sub.requires_grad:
             gx = g * gain.data
             gm = _row_sum(gx) / d
             gxm = _row_sum(gx * xhat) / d
             gx -= gm
             gx -= xhat * gxm
             gx *= inv
-            _accumulate(a, gx)
+            _accumulate(x, gx)
+            if sub.requires_grad:
+                _accumulate(sub, gx.copy() if gx is x.grad else gx)
 
-    out = _finish("layer_norm", (a, gain, bias), out_data, backward)
+    out = _finish("residual_norm", (x, sub, gain, bias), out_data, backward)
     return out
 
 

@@ -107,6 +107,9 @@ class TrainConfig:
     schedule: Schedule = field(default_factory=Schedule)
 
     def __post_init__(self):
+        for name, least in (("max_steps", 0), ("max_epochs", 1), ("patience", 1), ("checkpoint_every", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         _check_clip_norm(self.clip_norm)
 
 

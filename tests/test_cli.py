@@ -7,6 +7,7 @@ import pytest
 
 from safa import cli
 from safa.corpus import load_video_features, save_video_features
+from safa.tensor import load_checkpoint, save_checkpoint
 
 
 CORPUS = """\
@@ -513,10 +514,13 @@ def test_train_without_usable_sentences_names_the_file(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--clip-norm", "-1"], "clip_norm"), (["--clip-norm", "0"], "clip_norm"),
-    (["--clip-norm", "nan"], "clip_norm"), (["--clip-norm", "inf"], "clip_norm"),
-    (["--warmup-steps", "0"], "warmup_steps"), (["--temperature", "nan"], "temperature"),
-], ids=["clip-negative", "clip-zero", "clip-nan", "clip-inf", "warmup-zero", "temperature-nan"])
+    (["--clip-norm", "-1"], "--clip-norm"), (["--clip-norm", "0"], "--clip-norm"),
+    (["--clip-norm", "nan"], "--clip-norm"), (["--clip-norm", "inf"], "--clip-norm"),
+    (["--warmup-steps", "0"], "--warmup-steps"), (["--temperature", "nan"], "--temperature"),
+    (["--max-epochs", "0"], "--max-epochs"), (["--max-steps", "-4"], "--max-steps"),
+    (["--patience", "0"], "--patience"), (["--checkpoint-every", "-1"], "--checkpoint-every"),
+], ids=["clip-negative", "clip-zero", "clip-nan", "clip-inf", "warmup-zero", "temperature-nan",
+        "max-epochs-zero", "max-steps-negative", "patience-zero", "checkpoint-every-negative"])
 def test_train_bad_numbers_exit_one_before_the_manifest(tmp_path, capsys, flags, named):
     synth_dir = tmp_path / "synth"
     assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
@@ -532,6 +536,32 @@ def test_train_bad_numbers_exit_one_before_the_manifest(tmp_path, capsys, flags,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err, err
     assert not out.exists() and not (tmp_path / "model.ckpt.manifest.json").exists()
+
+
+def test_decode_bad_search_flags_name_the_flag_before_the_manifest(tmp_path, capsys):
+    _, decode_args = _train_tiny_model(tmp_path)
+    for flags in (["--beam", "0"], ["--max-length", "0"], ["--length-penalty", "nan"],
+                  ["--length-penalty", "inf"]):
+        capsys.readouterr()
+        assert _run(*decode_args, *flags) == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]}: "), err
+        assert not (tmp_path / "hyps.txt").exists() and not (tmp_path / "hyps.txt.manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_decode_non_finite_checkpoint_names_the_file_and_parameter(tmp_path, capsys, value):
+    _, decode_args = _train_tiny_model(tmp_path)
+    ckpt = decode_args[decode_args.index("--checkpoint") + 1]
+    arrays = load_checkpoint(ckpt)
+    arrays["output_projection"][0, 0] = value
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, arrays)
+    decode_args[decode_args.index(ckpt)] = bad
+    capsys.readouterr()
+    assert _run(*decode_args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "'output_projection'" in err, err
 
 
 @pytest.mark.parametrize("command", ["decode", "attn-dump"])
@@ -595,6 +625,13 @@ def test_grad_check_command(capsys):
     assert _run("grad-check", "--seed", 1, "--d-model", 8, "--frames", 4) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+@pytest.mark.parametrize("repeats", [0, -2])
+def test_grad_check_without_repeats_exits_one_naming_the_flag(capsys, repeats):
+    assert _run("grad-check", "--repeats", repeats) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --repeats") and captured.out == "", captured
 
 
 _DECODE_INPUTS = ["--corpus", "c", "--features", "f", "--checkpoint", "k", "--model-config", "m",

@@ -652,6 +652,20 @@ def test_forward_full_gradients_match_finite_differences():
     assert err < 1e-3, f"max relative error {err}"
 
 
+@pytest.mark.parametrize("layers, dropout, training, entries", [
+    (2, 0.1, True, 86), (2, 0.1, False, 74), (1, 0.0, False, 48),
+], ids=["2+2-train-step", "2+2-eval", "1+1-criterion-1"])
+def test_forward_records_the_tape_entries_the_readme_states(layers, dropout, training, entries):
+    # one residual_norm per sublayer; a train step adds a dropout per sublayer and embedding
+    cfg = tiny_config(encoder_layers=layers, decoder_layers=layers, dropout=dropout)
+    rng = np.random.default_rng(14)
+    batch = make_batch(rng, cfg, flags=[True, False])
+    with Tape() as tape:
+        forward_full(batch, make_features(rng, cfg), ModelParameters.build(cfg, seed=5), cfg,
+                     training=training, rng=np.random.Generator(np.random.Philox(0)))
+    assert len(tape.entries) == entries
+
+
 def test_forward_full_train_mode_needs_rng():
     cfg = tiny_config(dropout=0.2)
     p = ModelParameters.build(cfg, seed=4)

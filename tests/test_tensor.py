@@ -192,11 +192,16 @@ def _fd_case(name, rng):
     if name == "relu":
         a = Tensor(rng.normal(size=(3, 3)) + 0.05, requires_grad=True)  # keep away from the kink
         return lambda p: T.weighted_sum(T.relu(p["a"]), rng_fixed(name, (3, 3))), {"a": a}
-    if name == "layer_norm":
-        a = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
-        gain = Tensor(rng.normal(size=(6,)), requires_grad=True)
-        bias = Tensor(rng.normal(size=(6,)), requires_grad=True)
-        return lambda p: T.weighted_sum(T.layer_norm(p["a"], p["g"], p["b"]), rng_fixed(name, (2, 3, 6))), {"a": a, "g": gain, "b": bias}
+    if name.startswith("residual_norm"):
+        params = {k: Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True) for k in ("x", "s")}
+        params.update({k: Tensor(rng.normal(size=(6,)), requires_grad=True) for k in ("g", "b")})
+        if name.endswith("-reused"):
+            # x also feeds the sublayer: x adopts the sum's gradient, so the sublayer
+            # needs its own copy before add's backward writes into x's
+            return lambda p: T.weighted_sum(T.residual_norm(p["x"], T.add(p["x"], p["s"]), p["g"], p["b"]),
+                                            rng_fixed(name, (2, 3, 6))), params
+        return lambda p: T.weighted_sum(T.residual_norm(p["x"], p["s"], p["g"], p["b"]),
+                                        rng_fixed(name, (2, 3, 6))), params
     if name == "linear":
         return _linear_case(rng, (2, 3, 4))
     if name == "attention":
@@ -270,12 +275,12 @@ def rng_fixed(name, shape=(2, 3)):
 
 
 PRIMITIVE_NAMES = (
-    "add", "attention", "attention_weights", "dropout", "embedding", "kl_divergence", "layer_norm",
-    "lerp", "linear", "matmul", "relu", "scale", "sigmoid", "smoothed_cross_entropy", "weighted_sum",
+    "add", "attention", "attention_weights", "dropout", "embedding", "kl_divergence", "lerp",
+    "linear", "matmul", "relu", "residual_norm", "scale", "sigmoid", "smoothed_cross_entropy", "weighted_sum",
 )
 # further cases of the fused primitives
 FUSED_VARIANTS = (
-    "attention-cached-step", "attention-causal", "linear-2d", "linear-nobias",
+    "attention-cached-step", "attention-causal", "linear-2d", "linear-nobias", "residual_norm-reused",
     "smoothed_cross_entropy-unsmoothed", "weighted_sum-axis",
 )
 
@@ -352,16 +357,16 @@ def _smoothed_cross_entropy_reference(x, targets, smoothing, g):
     return out, [g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)]
 
 
-def _layer_norm_reference(x, gain, bias, g):
+def _residual_norm_reference(x, sub, gain, bias, g):
     d = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) / d
+    centered = (x + sub) - (x + sub).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + 1e-5)
     xhat = centered * inv
     gx = g * gain
     gm = gx.sum(axis=-1, keepdims=True) / d
     gxm = (gx * xhat).sum(axis=-1, keepdims=True) / d
-    grads = [inv * (gx - gm - xhat * gxm), (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
-    return xhat * gain + bias, grads
+    gsum = inv * (gx - gm - xhat * gxm)
+    return xhat * gain + bias, [gsum, gsum, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
 
 
 def _linear_reference(x, w, b, g):
@@ -408,8 +413,9 @@ def _train_shape_case(name, rng):
         targets = rng.integers(0, width, size=(rows, length))
         return (lambda a: T.smoothed_cross_entropy(a, targets, 0.1)), [x], \
             (lambda a, g: _smoothed_cross_entropy_reference(a, targets, 0.1, g))
-    if name == "layer_norm":
-        return T.layer_norm, [rng.normal(size=(rows, length, 32)), rng.normal(size=32), rng.normal(size=32)], _layer_norm_reference
+    if name == "residual_norm":
+        return T.residual_norm, [rng.normal(size=(rows, length, 32)), rng.normal(size=(rows, length, 32)),
+                                 rng.normal(size=32), rng.normal(size=32)], _residual_norm_reference
     if name == "linear":
         return T.linear, [rng.normal(size=(rows, length, 32)), rng.normal(size=(32, 64)), rng.normal(size=64)], _linear_reference
     # four target queries over four source keys, the last of them padding in every other row
@@ -421,7 +427,7 @@ def _train_shape_case(name, rng):
 
 
 @pytest.mark.parametrize("name", [
-    "attention", "layer_norm", "linear", "smoothed_cross_entropy-7", "smoothed_cross_entropy-40",
+    "attention", "residual_norm", "linear", "smoothed_cross_entropy-7", "smoothed_cross_entropy-40",
     "attention_weights-12", "attention_weights-40",
 ])
 def test_primitives_match_reference_formulas_at_train_shapes(name):
