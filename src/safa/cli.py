@@ -3,7 +3,8 @@
 Every subcommand writes a manifest sidecar before its outputs (command
 line, resolved options, seed, input digests, tool version; no timestamps),
 funnels all randomness through --seed, and never mutates its inputs.
-Exit codes: 0 success, 1 input error, 2 internal error.
+Exit codes: 0 success, 1 input error, 2 internal error. An input error
+that a flag's value causes starts with that flag.
 """
 
 import argparse
@@ -54,9 +55,9 @@ from .model import ModelConfig, ModelParameters, VideoFeatureBatch
 from .training import (
     Schedule,
     TrainConfig,
-    generate_synthetic_dataset,
     make_batches,
     save_metrics,
+    synthetic_splits,
     train,
 )
 
@@ -184,21 +185,12 @@ def _scorers(args, records):
     return cross, target, [args.cross_matrix, args.target_matrix]
 
 
-def _selection_config(args):
-    """``--target-threshold`` and ``--schedule`` as a config; a bad value names its flag."""
+def cmd_ambiguous(args):
     try:
         schedule = tuple(float(x) for x in args.schedule.split(","))
-        AmbiguitySelectionConfig(parallel_schedule=schedule)
-    except ValueError as exc:
-        raise ValueError(f"--schedule {args.schedule}: {exc}") from None
-    try:
-        return AmbiguitySelectionConfig(args.target_threshold, schedule)
-    except ValueError as exc:
-        raise ValueError(f"--target-threshold {args.target_threshold}: {exc}") from None
-
-
-def cmd_ambiguous(args):
-    config = _selection_config(args)
+    except ValueError:
+        raise ValueError(f"parallel_schedule must be comma-separated numbers, got {args.schedule!r}") from None
+    config = AmbiguitySelectionConfig(args.target_threshold, schedule)
     records = _read_corpus(args)
     cross, target, extra_inputs = _scorers(args, records)
     write_manifest(args.out, args, [args.input, *extra_inputs])
@@ -261,25 +253,18 @@ def cmd_context(args):
 
 
 def cmd_synth(args):
+    splits, features, flags = synthetic_splits(
+        args.n_train, args.n_val, args.n_test, args.frames, args.feature_dim, seed=args.seed, bump=args.bump
+    )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir / "dataset", args, [])
-    n = args.n_train + args.n_val + args.n_test
-    records, features, flags = generate_synthetic_dataset(
-        n, args.frames, args.feature_dim, seed=args.seed, bump=args.bump
-    )
-    splits = (
-        ("train", records[: args.n_train]),
-        ("validation", records[args.n_train: args.n_train + args.n_val]),
-        ("test", records[args.n_train + args.n_val:]),
-    )
     feature_dir = out_dir / "features"
     feature_dir.mkdir(exist_ok=True)
-    for name, subset in splits:
+    for name, subset in zip(("train", "validation", "test"), splits):
         write_corpus(out_dir / f"{name}.jsonl", subset)
     for rid, feat in features.items():
         save_video_features(feature_dir / f"{rid}.evaf", feat)
-    _write_bool_csv(out_dir / "flags.csv", "id,flag", [(r.id, flags[r.id]) for r in records])
+    _write_bool_csv(out_dir / "flags.csv", "id,flag", flags.items())
 
 
 _MODEL_OVERRIDES = (
@@ -297,22 +282,21 @@ def _naming(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-# the flag that sets each field of TrainConfig, its Schedule and DecodeConfig
-_TRAIN_FLAGS = {name: "--" + name.replace("_", "-") for name in (
-    "max_steps", "max_epochs", "patience", "clip_norm", "checkpoint_every", "warmup_steps")}
-_DECODE_FLAGS = {"beam_size": "--beam", "max_length": "--max-length", "length_penalty": "--length-penalty"}
+# the dest of the flag that sets a config field, where the two names differ
+_FLAG_DESTS = {"beam_size": "beam", "parallel_schedule": "schedule", "frames_per_clip": "frames"}
 
 
 @contextmanager
-def _flag_named(flags):
-    """Prefix a config's ValueError with the flag, from ``flags``, of the field its message starts with."""
+def _flag_named(args):
+    """Prefix a ValueError that starts with a config field with the flag of ``args`` that sets it."""
     try:
         yield
     except ValueError as exc:
-        flag = flags.get(str(exc).split(" ", 1)[0])
-        if flag is None:
+        field = str(exc).split(" ", 1)[0]
+        dest = _FLAG_DESTS.get(field, field)
+        if dest not in vars(args):
             raise
-        raise ValueError(f"{flag}: {exc}") from None
+        raise ValueError(f"--{dest.replace('_', '-')}: {exc}") from None
 
 
 def _require(items, path, what):
@@ -386,14 +370,13 @@ def _load_vocabs(args, train_records):
 
 
 def cmd_train(args):
-    with _flag_named(_TRAIN_FLAGS):
-        tc = TrainConfig(
-            tokens_per_batch=args.tokens_per_batch, max_steps=args.max_steps,
-            max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
-            clip_norm=None if args.no_clip else args.clip_norm,
-            checkpoint_every=args.checkpoint_every,
-            schedule=Schedule(args.warmup_steps, args.lr_start, args.lr_peak),
-        )
+    tc = TrainConfig(
+        tokens_per_batch=args.tokens_per_batch, max_steps=args.max_steps,
+        max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
+        clip_norm=None if args.no_clip else args.clip_norm,
+        checkpoint_every=args.checkpoint_every,
+        schedule=Schedule(args.warmup_steps, args.lr_start, args.lr_peak),
+    )
     train_records, _ = parse_corpus(args.train)
     val_records, _ = parse_corpus(args.val)
     _require(train_records, args.train, "no records to train on")
@@ -468,8 +451,7 @@ def _load_model(args):
 
 
 def cmd_decode(args):
-    with _flag_named(_DECODE_FLAGS):
-        dc = DecodeConfig(args.beam, args.max_length, args.length_penalty)
+    dc = DecodeConfig(args.beam, args.max_length, args.length_penalty)
     _, _, tgt_vocab, cfg, params, src, mask, feats = _load_model(args)
     hypotheses = beam_decode(params, cfg, src, mask, feats, dc)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -486,7 +468,6 @@ def cmd_bleu(args):
 
 
 def cmd_ablate(args):
-    write_manifest(args.out, args, [])
     exp = SyntheticExperiment(
         n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
         frames=args.frames, feature_dim=args.feature_dim, seed=args.seed,
@@ -495,6 +476,7 @@ def cmd_ablate(args):
     )
     variants = args.variants.split(",") if args.variants else None
     rows, details = run_synthetic_experiment(exp, variants)
+    write_manifest(args.out, args, [])
     write_results_table(args.out, rows)
     print("variant,bleu,synthetic_accuracy,central_attention")
     for row in rows:
@@ -509,7 +491,7 @@ def cmd_attn_dump(args):
 
 def cmd_grad_check(args):
     if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+        raise ValueError(f"repeats must be >= 1, got {args.repeats}")
     worst = 0.0
     for offset in range(args.repeats):
         err = gradient_check_full_loss(args.seed + offset, d_model=args.d_model, frames=args.frames)
@@ -681,7 +663,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args.argv = argv
     try:
-        code = args.func(args)
+        with _flag_named(args):
+            code = args.func(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

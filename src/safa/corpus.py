@@ -101,9 +101,10 @@ class AmbiguitySelectionConfig:
         levels = tuple(self.parallel_schedule)
         if any(b >= a for a, b in zip(levels, levels[1:])):
             raise ValueError("parallel_schedule must be strictly descending")
-        for t in (self.target_threshold, *levels):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError("thresholds must lie in [0, 1]")
+        if not 0.0 <= self.target_threshold <= 1.0:
+            raise ValueError(f"target_threshold must lie in [0, 1], got {self.target_threshold}")
+        if not all(0.0 <= t <= 1.0 for t in levels):
+            raise ValueError(f"parallel_schedule must lie in [0, 1], got {levels}")
         self.parallel_schedule = levels
 
 

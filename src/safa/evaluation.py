@@ -330,19 +330,15 @@ def run_synthetic_experiment(exp, variants=None):
     test inputs, and each variant's mean central attention.
     """
     from .corpus import build_vocabulary
-    from .training import Schedule, TrainConfig, generate_synthetic_dataset, make_batches, train
+    from .training import Schedule, TrainConfig, make_batches, synthetic_splits, train
 
     variants = list(variants or ABLATION_VARIANTS)
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ValueError(f"unknown ablation variant {variant!r}")
-    records, features, flags = generate_synthetic_dataset(
-        exp.n_train + exp.n_val + exp.n_test, exp.frames, exp.feature_dim,
-        seed=exp.seed, bump=exp.bump,
+    (train_records, val_records, test_records), features, flags = synthetic_splits(
+        exp.n_train, exp.n_val, exp.n_test, exp.frames, exp.feature_dim, seed=exp.seed, bump=exp.bump,
     )
-    train_records = records[: exp.n_train]
-    val_records = records[exp.n_train: exp.n_train + exp.n_val]
-    test_records = records[exp.n_train + exp.n_val:]
 
     from .model import ModelConfig
 

@@ -29,8 +29,10 @@ class Schedule:
     def __post_init__(self):
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
-        if not 0 < self.lr_start < self.lr_peak:
-            raise ValueError("need 0 < lr_start < lr_peak")
+        if not self.lr_start > 0:
+            raise ValueError(f"lr_start must be > 0, got {self.lr_start}")
+        if not self.lr_peak > self.lr_start:
+            raise ValueError(f"lr_peak must exceed lr_start {self.lr_start}, got {self.lr_peak}")
 
 
 def lr_at_step(step, schedule):
@@ -304,6 +306,8 @@ def generate_synthetic_dataset(n, frames, feature_dim, seed=0, bump="central"):
 
     if n % 2 != 0:
         raise ValueError("n must be even so the classes balance exactly")
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
     if feature_dim < 2:
         raise ValueError("feature_dim must be >= 2 (one bump channel per class)")
     if bump not in ("central", "edge"):
@@ -333,3 +337,18 @@ def generate_synthetic_dataset(n, frames, feature_dim, seed=0, bump="central"):
         features[rid] = feat
         flags[rid] = True
     return records, features, flags
+
+
+def synthetic_splits(n_train, n_val, n_test, frames, feature_dim, seed=0, bump="central"):
+    """``generate_synthetic_dataset`` over all three splits, cut in order.
+
+    Returns ((train, validation, test) records, features, flags).
+    """
+    for name, count in (("n_train", n_train), ("n_val", n_val), ("n_test", n_test)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+    records, features, flags = generate_synthetic_dataset(
+        n_train + n_val + n_test, frames, feature_dim, seed=seed, bump=bump
+    )
+    splits = records[:n_train], records[n_train: n_train + n_val], records[n_train + n_val:]
+    return splits, features, flags

@@ -1,13 +1,17 @@
+import argparse
 import hashlib
+import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from safa import cli
-from safa.corpus import load_video_features, save_video_features
+from safa.corpus import AmbiguitySelectionConfig, load_video_features, save_video_features
+from safa.evaluation import DecodeConfig
 from safa.tensor import load_checkpoint, save_checkpoint
+from safa.training import Schedule, TrainConfig, synthetic_splits
 
 
 CORPUS = """\
@@ -519,8 +523,10 @@ def test_train_without_usable_sentences_names_the_file(tmp_path, capsys, case):
     (["--warmup-steps", "0"], "--warmup-steps"), (["--temperature", "nan"], "--temperature"),
     (["--max-epochs", "0"], "--max-epochs"), (["--max-steps", "-4"], "--max-steps"),
     (["--patience", "0"], "--patience"), (["--checkpoint-every", "-1"], "--checkpoint-every"),
+    (["--lr-start", "0"], "--lr-start"), (["--lr-peak", "0"], "--lr-peak"),
 ], ids=["clip-negative", "clip-zero", "clip-nan", "clip-inf", "warmup-zero", "temperature-nan",
-        "max-epochs-zero", "max-steps-negative", "patience-zero", "checkpoint-every-negative"])
+        "max-epochs-zero", "max-steps-negative", "patience-zero", "checkpoint-every-negative",
+        "lr-start-zero", "lr-peak-zero"])
 def test_train_bad_numbers_exit_one_before_the_manifest(tmp_path, capsys, flags, named):
     synth_dir = tmp_path / "synth"
     assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
@@ -534,7 +540,7 @@ def test_train_bad_numbers_exit_one_before_the_manifest(tmp_path, capsys, flags,
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err, err
+    assert err.startswith(f"error: {named}: "), err
     assert not out.exists() and not (tmp_path / "model.ckpt.manifest.json").exists()
 
 
@@ -592,6 +598,39 @@ def test_ablate_checks_variants_before_any_work(tmp_path, monkeypatch, capsys):
         assert f"error: unknown ablation variant {unknown}" in capsys.readouterr().err
 
 
+_SMALL_DATASET = ["--n-train", "8", "--n-val", "4", "--n-test", "4", "--frames", "6", "--feature-dim", "4"]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--patience", "0"], "--patience"), (["--max-steps", "-1"], "--max-steps"),
+    (["--dropout", "1.5"], "--dropout"), (["--frames", "0"], "--frames"),
+    (["--lr-peak", "0"], "--lr-peak"), (["--feature-dim", "1"], "--feature-dim"),
+    (["--n-test", "-4"], "--n-test"),
+], ids=["patience-zero", "max-steps-negative", "dropout-above-one", "frames-zero", "lr-peak-zero",
+        "feature-dim-one", "n-test-negative"])
+def test_ablate_bad_flags_exit_one_before_the_manifest(tmp_path, capsys, flags, named):
+    out = tmp_path / "t.csv"
+    assert _run("ablate", "--out", out, *_SMALL_DATASET, *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {named}: ") and captured.out == "", captured
+    assert not out.exists() and not (tmp_path / "t.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--feature-dim", "1"], "--feature-dim"), (["--frames", "0"], "--frames"),
+    (["--n-train", "-2", "--n-val", "6"], "--n-train"), (["--n-val", "-2", "--n-test", "6"], "--n-val"),
+    (["--n-test", "-4"], "--n-test"), (["--n-train", "3"], None),
+], ids=["feature-dim-one", "frames-zero", "n-train-negative", "n-val-negative", "n-test-negative",
+        "odd-total"])
+def test_synth_bad_flags_exit_one_before_the_manifest(tmp_path, capsys, flags, named):
+    out_dir = tmp_path / "data"
+    assert _run("synth", "--out-dir", out_dir, *_SMALL_DATASET, *flags) == 1
+    err = capsys.readouterr().err
+    # an odd total is the three counts together, so no one flag is at fault
+    assert err.startswith(f"error: {named}: " if named else "error: n must be even"), err
+    assert not out_dir.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_train_divergence_prints_reason(tmp_path, monkeypatch, capsys):
     from safa import training
@@ -627,11 +666,12 @@ def test_grad_check_command(capsys):
     assert "max relative error" in out
 
 
-@pytest.mark.parametrize("repeats", [0, -2])
-def test_grad_check_without_repeats_exits_one_naming_the_flag(capsys, repeats):
-    assert _run("grad-check", "--repeats", repeats) == 1
+@pytest.mark.parametrize("flag, value", [("--repeats", 0), ("--repeats", -2), ("--frames", 0), ("--d-model", 3)],
+                         ids=["0", "-2", "frames-zero", "d-model-odd"])
+def test_grad_check_without_repeats_exits_one_naming_the_flag(capsys, flag, value):
+    assert _run("grad-check", flag, value) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --repeats") and captured.out == "", captured
+    assert captured.err.startswith(f"error: {flag}: ") and captured.out == "", captured
 
 
 _DECODE_INPUTS = ["--corpus", "c", "--features", "f", "--checkpoint", "k", "--model-config", "m",
@@ -675,3 +715,41 @@ def test_manifest_config_keys_per_command(tmp_path, command):
         assert [config[k] for k in ("d_model", "heads", "dropout", "ambiguity_weight", "temperature")] \
             == [8, 2, 0.25, 3.0, None]
         assert isinstance(config["d_model"], int) and isinstance(config["ambiguity_weight"], float)
+
+
+_DATASET_FIELDS = list(inspect.signature(synthetic_splits).parameters)
+# every config field each command sets from one of its flags
+_FLAG_FIELDS = {
+    "train": [f.name for f in fields(TrainConfig) if f.name != "schedule"]
+    + [f.name for f in fields(Schedule)] + list(cli._MODEL_OVERRIDES),
+    "decode": [f.name for f in fields(DecodeConfig)],
+    "ambiguous": [f.name for f in fields(AmbiguitySelectionConfig)],
+    "synth": _DATASET_FIELDS,
+    "ablate": _DATASET_FIELDS + ["frames_per_clip", "max_steps", "patience", "dropout", "lr_peak"],
+    "grad-check": ["repeats", "d_model", "frames_per_clip", "seed"],
+}
+
+
+def _option_strings(*words):
+    """The option strings of the subcommand ``words`` name, e.g. ``("pipeline", "ambiguous")``."""
+    parser = cli.build_parser()
+    for word in words:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return {s for a in parser._actions for s in a.option_strings}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAG_FIELDS))
+def test_every_field_a_flag_sets_is_blamed_on_a_real_option(command):
+    words = ["pipeline", command] if command == "ambiguous" else [command]
+    minimal = ["--in", "c", "--out", "o"] if command == "ambiguous" else _MINIMAL_ARGV[command]
+    args = cli.build_parser().parse_args([*words, *minimal])
+    options = _option_strings(*words)
+    for field in _FLAG_FIELDS[command]:
+        with pytest.raises(ValueError) as info, cli._flag_named(args):
+            raise ValueError(f"{field} is bad")
+        flag, _, message = str(info.value).partition(": ")
+        assert flag in options and message == f"{field} is bad", (field, str(info.value))
+    for unrelated in ("n must be even", "model.cfg: d_model is bad", "--beam: beam_size is bad"):
+        with pytest.raises(ValueError, match=f"^{unrelated}$"), cli._flag_named(args):
+            raise ValueError(unrelated)

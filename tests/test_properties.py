@@ -1,5 +1,6 @@
 """Property tests: checkpoint round trips, corrupted binaries, ambiguous-set selection,
-corpus parsing, the baseline similarity, the decoding normalizer and greedy search.
+corpus parsing, the baseline similarity, the decoding normalizer, greedy search and
+corpus BLEU.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -32,7 +33,7 @@ from safa.corpus import (
     save_video_features,
     select_ambiguous_sets,
 )
-from safa.evaluation import DecodeConfig, _fuse_sources, beam_decode, log_normalize
+from safa.evaluation import DecodeConfig, _fuse_sources, beam_decode, corpus_bleu, log_normalize
 from safa.model import ModelConfig, ModelParameters, VideoFeatureBatch, decode
 from safa.tensor import Tensor
 
@@ -316,3 +317,16 @@ def test_beam_one_equals_the_greedy_rollout(draw):
     max_length = draw.draw(st.integers(1, 6))
     hyps = beam_decode(params, cfg, src, src_mask, features, DecodeConfig(beam_size=1, max_length=max_length))
     assert hyps == _greedy_rollout(params, cfg, src, src_mask, features, max_length)
+
+
+# two words, so n-grams of every order match often enough for a nonzero score
+_sentences = st.lists(st.sampled_from("ab"), min_size=1, max_size=8).map(" ".join)
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(pairs=st.lists(st.tuples(_sentences | st.just(""), _sentences), min_size=1, max_size=8),
+       draw=st.data())
+def test_corpus_bleu_ignores_the_order_of_the_pairs(pairs, draw):
+    order = draw.draw(st.permutations(range(len(pairs))))
+    hyps, refs = zip(*pairs)
+    assert corpus_bleu([hyps[i] for i in order], [refs[i] for i in order]) == corpus_bleu(hyps, refs)
