@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    CLIP_WINDOW_MS,
     AmbiguitySelectionConfig,
     MatrixScorer,
     Vocabulary,
@@ -163,6 +164,8 @@ def _read_corpus(args):
 
 
 def cmd_windows(args):
+    if args.duration_ms is not None and args.duration_ms < CLIP_WINDOW_MS:
+        raise ValueError(f"duration_ms must be >= {CLIP_WINDOW_MS}, the clip window, got {args.duration_ms}")
     records = _read_corpus(args)
     write_manifest(args.out, args, [args.input])
     _jsonl(args.out, [{"id": r.id, **vars(compute_clip_window(r, args.duration_ms))} for r in records])
@@ -219,8 +222,8 @@ def cmd_alpha(args):
 def cmd_splits(args):
     records = _read_corpus(args)
     helpful = _read_bool_csv(args.decisions, "task_id,helpful")
-    write_manifest(args.out, args, [args.input, args.decisions])
     assignment = build_splits(records, helpful, seed=args.seed, evaluation_cap=args.eval_cap)
+    write_manifest(args.out, args, [args.input, args.decisions])
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("id,split\n")
         for r in records:
@@ -283,7 +286,8 @@ def _naming(path):
 
 
 # the dest of the flag that sets a config field, where the two names differ
-_FLAG_DESTS = {"beam_size": "beam", "parallel_schedule": "schedule", "frames_per_clip": "frames"}
+_FLAG_DESTS = {"beam_size": "beam", "parallel_schedule": "schedule", "frames_per_clip": "frames",
+               "evaluation_cap": "eval_cap"}
 
 
 @contextmanager

@@ -431,6 +431,8 @@ def build_splits(records, helpful_by_id, seed=0, evaluation_cap=None):
     sampling), shuffled by seed and halved; validation takes the odd extra.
     Everything else trains.
     """
+    if evaluation_cap is not None and evaluation_cap < 0:
+        raise ValueError(f"evaluation_cap must be >= 0, got {evaluation_cap}")
     rng = np.random.default_rng(seed)
     pool = [r.id for r in records if helpful_by_id.get(r.id, False)]
     if evaluation_cap is not None and len(pool) > evaluation_cap:

@@ -4,7 +4,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -81,32 +80,42 @@ def _score(logprob, length, penalty):
     return logprob / (length ** penalty)
 
 
-def log_normalize(logits):
-    """Log-probabilities of logits over the last axis: the one normalizer of decoding and scoring.
+def log_normalize(logits, scratch=None):
+    """Log-probabilities over the last axis, in place: the one normalizer of decoding and scoring.
 
     The max-shifted log-softmax, ``(x - max) - log(sum(exp(x - max)))``, as
-    ``smoothed_cross_entropy`` computes it in training. Not
-    ``np.logaddexp.reduce``: that reduction runs sequentially and takes
-    about 8x as long per 2000-token row, for the same values within a few ulps.
+    ``smoothed_cross_entropy`` computes it in training. It overwrites and
+    returns ``logits``, so the caller hands over an array it owns. The
+    exponentials go to ``scratch``, an array of the same shape, or to a new
+    array. Not ``np.logaddexp.reduce``: that reduction runs sequentially and
+    takes about 8x as long per 2000-token row, for the same values within a
+    few ulps.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits, out=scratch).sum(axis=-1, keepdims=True))
+    return logits
 
 
-def _offers(logits, k):
-    """The k best next tokens of one row of logits, as (token, log-probability).
+def _top_k(logp, k, scratch):
+    """Every row's k best columns of a (rows, |V|) block, as flat (row, column) arrays.
 
-    Best first, ties to the lower id: the order of a stable argsort of the
-    row. Only the tokens at or above the k-th best value are sorted; a
-    stable sort of the whole vocabulary per row took about a third of a
-    beam-5 decode's time.
+    Row by row, best first, ties to the lower column: the first k of each
+    row's stable argsort. One partition, in ``scratch`` (an array of
+    ``logp``'s shape), finds each row's k-th best value; only the entries at
+    or above it are sorted, and a row whose tie straddles that value keeps
+    its k lowest columns.
     """
-    logp = log_normalize(logits)
-    cut = np.partition(logp, -k)[-k] if k < logp.size else -np.inf
-    ids = np.flatnonzero(logp >= cut)
-    ids = ids[np.argsort(-logp[ids], kind="stable")[:k]]
-    return [(int(token), float(logp[token])) for token in ids]
+    v = logp.shape[1]
+    cut = -np.inf
+    if k < v:
+        np.copyto(scratch, logp)
+        scratch.partition(v - k, axis=1)
+        cut = scratch[:, v - k, None]
+    rows, cols = np.divmod(np.flatnonzero(logp >= cut), v)
+    order = np.lexsort((-logp[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+    return rows[keep], cols[keep]
 
 
 def _beam_group(params, cfg, fused, src_mask, dc):
@@ -116,39 +125,42 @@ def _beam_group(params, cfg, fused, src_mask, dc):
     beam by beam. The offers are stable-sorted by cumulative log-probability
     and taken in that order, eos offers into ``finished``, until
     ``beam_size`` beams live. A sentence with no live beam leaves the group.
+    Each step does this for the whole (rows, |V|) block at once.
     """
     k, penalty = dc.beam_size, dc.length_penalty
     cache = DecoderCache(fused, src_mask, params, cfg, dc.max_length)
-    rows = [(s, [], 0.0) for s in range(src_mask.shape[0])]  # (sentence, ids, logprob) per cache row
-    finished = [[] for _ in rows]
-    for _step in range(dc.max_length):
-        last = np.array([[ids[-1] if ids else BOS_ID] for _, ids, _ in rows], dtype=np.int64)
+    sentence = np.arange(src_mask.shape[0])  # per cache row
+    history = np.empty((sentence.size, 0), dtype=np.int64)  # (rows, step) generated ids
+    logprob = np.zeros(sentence.size)
+    finished = [[] for _ in sentence]
+    # the exponentials and the partition of every step; a new (rows, |V|)
+    # array per step would be mapped and page-faulted afresh each time
+    scratch = np.empty((sentence.size * k, cfg.tgt_vocab_size))
+    for step in range(dc.max_length):
+        last = history[:, -1:] if step else np.full((sentence.size, 1), BOS_ID, dtype=np.int64)
         logits = decode(None, last, None, None, params, cfg, cache=cache).data[:, 0]
-        kept, parents = [], []
-        for s, group in groupby(range(len(rows)), key=lambda r: rows[r][0]):
-            offers = [
-                (rows[r][2] + logprob, r, token)
-                for r in group for token, logprob in _offers(logits[r], k)
-            ]
-            offers.sort(key=lambda o: -o[0])
-            live = 0
-            for logprob, r, token in offers:
-                ids = rows[r][1]
-                if token == EOS_ID:
-                    finished[s].append((ids, _score(logprob, len(ids) + 1, penalty)))
-                    continue
-                kept.append((s, ids + [token], logprob))
-                parents.append(r)
-                live += 1
-                if live >= k:
-                    break
-        del logits  # free the (rows, |V|) block before the cache's gather
-        rows = kept
-        if not rows:
+        logp = log_normalize(logits, scratch[:sentence.size])
+        rows, tokens = _top_k(logp, k, scratch[:sentence.size])
+        total = logprob[rows] + logp[rows, tokens]
+        del logits, logp  # free the (rows, |V|) block before the cache's gather
+        s = sentence[rows]
+        order = np.lexsort((-total, s))
+        rows, tokens, total, s = rows[order], tokens[order], total[order], s[order]
+        # an offer is taken while fewer than k non-eos offers of its sentence come before it
+        live = tokens != EOS_ID
+        ahead = np.cumsum(live) - live
+        taken = ahead - ahead[np.searchsorted(s, s)] < k
+        ended, keep = taken & ~live, taken & live
+        for r, lp in zip(rows[ended], total[ended].tolist()):
+            finished[sentence[r]].append((history[r].tolist(), _score(lp, step + 1, penalty)))
+        parents = rows[keep]
+        sentence, logprob = sentence[parents], total[keep]
+        history = np.concatenate([history[parents], tokens[keep, None]], axis=1)
+        if not parents.size:
             break
-        cache.reorder(np.array(parents))
-    for s, ids, logprob in rows:  # ran out of length without eos
-        finished[s].append((ids, _score(logprob, max(len(ids), 1), penalty)))
+        cache.reorder(parents)
+    for s, ids, lp in zip(sentence, history.tolist(), logprob.tolist()):  # ran out of length without eos
+        finished[s].append((ids, _score(lp, max(len(ids), 1), penalty)))
     return [max(done, key=lambda c: c[1])[0] for done in finished]
 
 

@@ -250,6 +250,21 @@ def test_ambiguous_bad_flags_name_the_flag_and_write_nothing(corpus, tmp_path, c
     assert not out.exists() and not (tmp_path / "ambiguous.jsonl.manifest.json").exists()
 
 
+@pytest.mark.parametrize("stage, flags, named", [
+    ("windows", ["--duration-ms", "5000"], "--duration-ms"),
+    ("windows", ["--duration-ms", "-5"], "--duration-ms"),
+    ("splits", ["--decisions", "decisions.csv", "--eval-cap", "-1"], "--eval-cap"),
+], ids=["duration-below-the-window", "duration-negative", "eval-cap-negative"])
+def test_stage_bad_numbers_name_the_flag_before_the_manifest(corpus, tmp_path, capsys, stage, flags, named):
+    (tmp_path / "decisions.csv").write_text("task_id,helpful\na1,true\n", encoding="utf-8")
+    flags = [tmp_path / f if f.endswith(".csv") else f for f in flags]
+    out = tmp_path / "out"
+    assert _run("pipeline", stage, "--in", corpus, "--out", out, *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: "), err
+    assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
+
+
 @pytest.mark.parametrize("row", ["a1,True", "a2,yes", "a3"])
 def test_decisions_with_a_bad_row_name_the_line(corpus, tmp_path, capsys, row):
     decisions = tmp_path / "decisions.csv"

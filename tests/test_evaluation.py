@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safa.corpus import BOS_ID, EOS_ID, SubtitleRecord, build_vocabulary, pad_rows
 from safa.evaluation import (
     DECODE_GROUP,
     DecodeConfig,
     _fuse_sources,
-    _offers,
+    _top_k,
     beam_decode,
     corpus_bleu,
     export_attention,
@@ -250,13 +252,18 @@ def trained():
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 8, 10])
-def test_offers_follow_stable_argsort_with_ties(k):
-    # three-way ties at the top and one straddling the 5th best value; k=8 and
-    # k=10 take the whole row
-    logits = np.array([0.5, 2.0, 1.0, 2.0, 1.0, 1.0, -3.0, 2.0])
-    logp = log_normalize(logits)
-    expected = [(int(t), float(logp[t])) for t in np.argsort(-logp, kind="stable")[:k]]
-    assert _offers(logits, k) == expected
+def test_top_k_follows_stable_argsort_with_ties(k):
+    # row 0 ties three ways at the top and three ways across its 5th best value,
+    # row 1 has no ties, row 2 is one tie; k=8 and k=10 take whole rows
+    logp = log_normalize(np.array([
+        [0.5, 2.0, 1.0, 2.0, 1.0, 1.0, -3.0, 2.0],
+        [-1.0, 3.0, 0.25, 2.0, -2.0, 0.0, 1.0, 0.5],
+        [0.0] * 8,
+    ]))
+    rows, cols = _top_k(logp, k, np.empty_like(logp))
+    expected = np.argsort(-logp, axis=1, kind="stable")[:, :k]
+    assert rows.tolist() == np.repeat(np.arange(3), expected.shape[1]).tolist()
+    assert cols.tolist() == expected.ravel().tolist()
 
 
 @pytest.mark.parametrize("length_penalty", [0.0, 1.0])
@@ -269,6 +276,31 @@ def test_beam_decode_matches_full_prefix_search(half_trained, beam_size, length_
     hyps = beam_decode(params, cfg, src, mask, feats, dc)
     assert hyps == _reference_beam_search(params, cfg, src, mask, feats, dc)
     assert len({len(h) for h in hyps}) > 1  # eos came at different steps
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(draw=st.data())
+def test_beam_decode_matches_the_oracle_on_tied_scores(draw):
+    cfg = ModelConfig(
+        src_vocab_size=8, tgt_vocab_size=draw.draw(st.integers(5, 40)), video_feature_dim=2,
+        encoder_layers=1, decoder_layers=1, d_model=4, d_ffn=8, heads=2, dropout=0.0,
+        frames_per_clip=2,
+    )
+    params = ModelParameters.build(cfg, seed=draw.draw(st.integers(0, 2**16)))
+    # tokens share rounded output columns, so their log-probabilities tie exactly,
+    # and so do the cumulative scores of the beams they start
+    out = params["output_projection"].data
+    v = cfg.tgt_vocab_size
+    out[:] = np.round(out[:, draw.draw(st.lists(st.integers(0, 2), min_size=v, max_size=v))] * 2) / 2
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**16)))
+    lengths = rng.integers(1, 5, size=draw.draw(st.integers(1, 4)))
+    src_mask = np.arange(lengths.max()) < lengths[:, None]
+    src = np.where(src_mask, rng.integers(4, cfg.src_vocab_size, size=src_mask.shape), 0)
+    feats = VideoFeatureBatch(rng.standard_normal((len(lengths), 2, 2)))
+    dc = DecodeConfig(beam_size=draw.draw(st.integers(2, 5)), max_length=draw.draw(st.integers(1, 5)),
+                      length_penalty=draw.draw(st.sampled_from([0.0, 1.0])))
+    assert (beam_decode(params, cfg, src, src_mask, feats, dc)
+            == _reference_beam_search(params, cfg, src, src_mask, feats, dc))
 
 
 def test_beam_decode_groups_equal_single_sentences(trained):

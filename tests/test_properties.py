@@ -1,6 +1,6 @@
 """Property tests: checkpoint round trips, corrupted binaries, ambiguous-set selection,
-corpus parsing, the baseline similarity, the decoding normalizer, greedy search and
-corpus BLEU.
+translation sets, splits, corpus parsing, the baseline similarity, the decoding
+normalizer, greedy search and corpus BLEU.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -26,6 +26,7 @@ from safa.corpus import (
     CorpusParseError,
     SubtitleRecord,
     baseline_similarity,
+    build_splits,
     collect_translation_sets,
     load_video_features,
     normalize_text,
@@ -164,6 +165,43 @@ def test_ambiguous_selection_matches_the_per_level_oracle(draw):
             == _select_per_level(sets, records, cross_sim, target_sim, config))
 
 
+_SOURCES = st.sampled_from(["a", "A", " a ", "b", "c d", "c  d"])  # normalize_text merges some
+_TARGETS = st.sampled_from(["x", "X", "y", "z w"])
+
+
+def _records(pairs, start=0):
+    return [SubtitleRecord(f"r{start + i}", s, t, 0, 1000, "v") for i, (s, t) in enumerate(pairs)]
+
+
+@settings(max_examples=100, **_SETTINGS)
+@given(old=st.lists(st.tuples(_SOURCES, _TARGETS), max_size=8),
+       new=st.lists(st.tuples(_SOURCES, _TARGETS), max_size=8), draw=st.data())
+def test_adding_records_never_removes_a_translation_set(old, new, draw):
+    before, added = _records(old), _records(new, start=len(old))
+    merged = draw.draw(st.permutations(before + added))
+    after = {t.source_text: t for t in collect_translation_sets(merged)}
+    for tset in collect_translation_sets(before):
+        grown = after[tset.source_text]
+        assert set(tset.target_texts) <= set(grown.target_texts)
+        assert set(tset.member_ids) <= set(grown.member_ids)
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(helpful=st.lists(st.none() | st.booleans(), max_size=12), seed=st.integers(0, 2**16),
+       cap=st.none() | st.integers(0, 14))
+def test_splits_partition_the_records(helpful, seed, cap):
+    records = _records([("a", "x")] * len(helpful))
+    decisions = {r.id: h for r, h in zip(records, helpful) if h is not None}
+    assignment = build_splits(records, decisions, seed=seed, evaluation_cap=cap)
+    assert list(assignment) == [r.id for r in records]
+    sizes = Counter(assignment.values())
+    assert set(sizes) <= {"train", "validation", "test"}
+    pool = sum(h is True for h in helpful)
+    assert sizes["validation"] + sizes["test"] == (pool if cap is None else min(pool, cap))
+    assert sizes["validation"] - sizes["test"] in (0, 1)
+    assert all(assignment[r.id] == "train" for r, h in zip(records, helpful) if h is not True)
+
+
 _RECORD_KEYS = ("id", "source_text", "target_text", "start_ms", "end_ms", "video_id")
 
 
@@ -272,7 +310,7 @@ def test_baseline_similarity_equals_the_string_counter_formula(a, b):
 @given(logits=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=40),
                          elements=st.floats(-700.0, 700.0)))
 def test_log_normalize_matches_the_logaddexp_oracle(logits):
-    logp = log_normalize(logits)
+    logp = log_normalize(logits.copy())
     oracle = logits - np.logaddexp.reduce(logits, axis=-1)[..., None]
     # the sequential oracle itself errs by some ulps of the row's largest logit
     scale = np.maximum(1.0, np.abs(logits).max(axis=-1, keepdims=True))
