@@ -604,7 +604,7 @@ def save_video_features(path, features):
 
 
 def load_video_features(path):
-    """Read a feature file; values are upcast to float64."""
+    """Read a feature file; values are upcast to float64 and must be finite."""
     with open(path, "rb") as f:
         if f.read(4) != _FEATURE_MAGIC:
             raise CorpusParseError(f"{path}: bad magic, not a video feature file")
@@ -615,4 +615,8 @@ def load_video_features(path):
         raw = read_exact(f, 4 * frames * dim, path, CorpusParseError, "feature payload")
         if f.peek(1):
             raise CorpusParseError(f"{path}: trailing bytes after the {frames}x{dim} feature payload")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(frames, dim)
+    values = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(frames, dim)
+    # as in tensor._finish: a NaN or Inf makes the sum of squares non-finite, so only then test each value
+    if not math.isfinite(np.vdot(values, values)) and not np.isfinite(values).all():
+        raise CorpusParseError(f"{path}: non-finite value in the {frames}x{dim} feature payload")
+    return values

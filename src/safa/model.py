@@ -7,6 +7,7 @@ a KL pull of the frame attention toward a tempered Gaussian target, and
 group reweighting of possibly-ambiguous samples.
 """
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -292,6 +293,19 @@ def sinusoidal_positions(length, d_model):
     return table[:length]
 
 
+_CAUSAL_MASKS = {}  # length -> read-only mask
+
+
+def _causal_mask(length):
+    """(length, length) bool, True above the diagonal: where a position may not look at a later one."""
+    mask = _CAUSAL_MASKS.get(length)
+    if mask is None:
+        mask = np.triu(np.ones((length, length), dtype=bool), k=1)
+        mask.flags.writeable = False
+        _CAUSAL_MASKS[length] = mask
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Architecture blocks
 # ---------------------------------------------------------------------------
@@ -332,10 +346,14 @@ def _attention_block(x_q, x_kv, p, prefix, heads, blocked=None, kv=None):
 def _embed(table, ids, d_model, limit, side, offset=0):
     """Scaled embeddings plus the position table; column j sits at position offset + j."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= limit):
-        raise VocabularyError(f"{side} token id out of range [0, {limit})")
-    scaled = T.scale(T.embedding(table, ids), math.sqrt(d_model))
-    return T.add(scaled, Tensor(sinusoidal_positions(offset + ids.shape[1], d_model)[offset:]))
+    positions = sinusoidal_positions(offset + ids.shape[1], d_model)[offset:]
+    try:
+        return T.embedding(table, ids, math.sqrt(d_model), positions)
+    except T.ShapeError:
+        # the lookup checked the ids once; only a failure is traced to them
+        if ids.size and (ids.min() < 0 or ids.max() >= limit):
+            raise VocabularyError(f"{side} token id out of range [0, {limit})") from None
+        raise
 
 
 def encode_text(batch, p, cfg, training=False, rng=None):
@@ -437,9 +455,7 @@ def decode(h_out, tgt_input, tgt_input_mask, src_mask, p, cfg, training=False, r
     x = _embed(p["target_embedding"], tgt_input, cfg.d_model, cfg.tgt_vocab_size, "target", offset)
     x = _maybe_dropout(x, cfg.dropout, training, rng)
     if cache is None:
-        t = tgt_input.shape[1]
-        causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-        self_blocked = causal[None, :, :] | ~tgt_input_mask[:, None, :]
+        self_blocked = _causal_mask(tgt_input.shape[1])[None, :, :] | ~tgt_input_mask[:, None, :]
         cross_blocked = ~src_mask[:, None, :]
     elif tgt_input.shape[1] != 1:
         raise T.ShapeError(f"cached decoding takes one new position per row, got {tgt_input.shape}")
@@ -471,7 +487,7 @@ def _ffn_block(x, p, prefix):
 def _mean_weights(mask, side):
     """(B, S) weights: summed against (B, S) values, each sample's mean over the kept positions."""
     counts = mask.sum(axis=1, keepdims=True)
-    if (counts == 0).any():
+    if not counts.all():
         raise DegenerateSampleError(f"sample with all {side} positions masked")
     return mask / counts
 
@@ -486,11 +502,14 @@ def label_smoothed_loss(logits, targets, mask, smoothing):
     return T.weighted_sum(per_token, _mean_weights(mask, "target"), axis=-1)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def gaussian_target(frames, halfwidth, mean, std, temperature):
-    """Tempered softmax of Gaussian density values at evenly spaced points.
+    """Tempered softmax of Gaussian density values at evenly spaced points, as a read-only array.
 
     The points run from -halfwidth to halfwidth (a single frame sits at 0);
     density values are divided by the temperature before exponentiation.
+    Every forward asks for the same target, so it is computed once per
+    argument tuple and shared.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -500,7 +519,9 @@ def gaussian_target(frames, halfwidth, mean, std, temperature):
     density = np.exp(-((z - mean) ** 2) / (2.0 * std * std)) / (std * math.sqrt(2.0 * math.pi))
     scaled = density / temperature
     e = np.exp(scaled - scaled.max())
-    return e / e.sum()
+    target = e / e.sum()
+    target.flags.writeable = False
+    return target
 
 
 def frame_attention_loss(frame_attention, target, mask):

@@ -150,12 +150,22 @@ def _finish(name, inputs, out_data, backward):
     passes there. ``np.vdot`` is one BLAS pass and, unlike ``sum``, does not
     warn on overflow. It is handed the elements in memory order: on a
     transposed view it would otherwise take a strided path 35x slower.
+
+    Every primitive computes a float64 array, so the output ``Tensor`` is
+    built without ``Tensor.__init__``'s conversion; only arithmetic on 0-d
+    arrays, which numpy returns as a scalar, is wrapped into a 0-d array.
     """
     flat = out_data.ravel(order="K")
     if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(out_data).all():
         raise NumericError(f"{name}: non-finite values in output")
-    out = Tensor(out_data)
-    out.requires_grad = any([t.requires_grad for t in inputs])
+    if type(out_data) is not np.ndarray:
+        out_data = np.asarray(out_data)
+    out = object.__new__(Tensor)
+    out.data, out.grad, out.requires_grad = out_data, None, False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            break
     tapes = _active.tapes
     if tapes:
         tapes[-1]._append(name, out, backward if out.requires_grad else None)
@@ -295,6 +305,8 @@ def linear(x, w, b=None):
 
     The leading axes of ``x`` fold into one GEMM, forward and for each
     gradient; the bias gradient is one column sum over the folded rows.
+    The GEMMs are ``ndarray.dot``: the same BLAS call as the ``@``
+    operator, without the ufunc set-up that dominates on a small operand.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), None if b is None else _as_tensor(b)
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0] \
@@ -305,16 +317,16 @@ def linear(x, w, b=None):
         )
     d_in, d_out = w.data.shape
     x2 = x.data.reshape(-1, d_in)
-    out_data = (x2 @ w.data).reshape(x.data.shape[:-1] + (d_out,))
+    out_data = x2.dot(w.data).reshape(x.data.shape[:-1] + (d_out,))
     if b is not None:
         out_data += b.data
 
     def backward():
         g2 = out.grad.reshape(-1, d_out)
         if x.requires_grad:
-            _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape))
+            _accumulate(x, g2.dot(w.data.T).reshape(x.data.shape))
         if w.requires_grad:
-            _accumulate(w, x2.T @ g2)
+            _accumulate(w, x2.T.dot(g2))
         if b is not None and b.requires_grad:
             _accumulate(b, _col_sum(g2))
 
@@ -370,12 +382,13 @@ def attention(q, k, v, heads, blocked=None):
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
     if blocked is not None:
-        try:
-            blocked = np.broadcast_to(np.asarray(blocked, dtype=bool), (b, sq, sk))[:, None]
-        except ValueError:
-            raise ShapeError(
-                f"attention: blocked shape {np.shape(blocked)} does not broadcast to {(b, sq, sk)}"
-            ) from None
+        # np.copyto broadcasts it over the (B, heads, Sq, Sk) scores; only its shape is checked here
+        blocked = np.asarray(blocked, dtype=bool)
+        shape = blocked.shape
+        if len(shape) > 3 or any(n != 1 and n != m for n, m in zip(shape[::-1], (sk, sq, b))):
+            raise ShapeError(f"attention: blocked shape {shape} does not broadcast to {(b, sq, sk)}")
+        if len(shape) == 3:
+            blocked = blocked[:, None]  # one mask for every head
 
     def split(x, s):
         return x.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
@@ -562,8 +575,12 @@ def residual_norm(x, sub, gain, bias):
     return out
 
 
-def embedding(table, ids):
-    """Row lookup: out[...] = table[ids[...], :]."""
+def embedding(table, ids, factor=1.0, positions=None):
+    """Scaled row lookup plus constant positions: out[...] = table[ids[...], :] * factor + positions.
+
+    ``positions`` (a constant, such as the position table) must broadcast
+    to the output's shape; its gradient is never formed.
+    """
     table = _as_tensor(table)
     ids = np.asarray(ids)
     if table.data.ndim != 2:
@@ -572,14 +589,23 @@ def embedding(table, ids):
         raise ShapeError(
             f"embedding: id out of range [0, {table.data.shape[0]}) in lookup"
         )
+    factor = float(factor)
     out_data = table.data[ids]
+    out_data *= factor
+    if positions is not None:
+        try:
+            out_data += positions
+        except ValueError:
+            raise ShapeError(
+                f"embedding: positions of shape {np.shape(positions)} do not broadcast to {out_data.shape}"
+            ) from None
 
     def backward():
         # one bincount over the flattened (id, column) cells adds the rows of
         # repeated ids in the order np.add.at would, without its scatter
         rows, d = table.data.shape
         cells = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-        gt = np.bincount(cells, weights=out.grad.reshape(-1), minlength=rows * d)
+        gt = np.bincount(cells, weights=(out.grad * factor).reshape(-1), minlength=rows * d)
         _accumulate(table, gt.reshape(rows, d))
 
     out = _finish("embedding", (table,), out_data, backward)
@@ -617,7 +643,7 @@ def weighted_sum(x, weights, axis=None):
     x, weights = _as_tensor(x), np.asarray(weights, dtype=np.float64)
     if weights.shape != x.data.shape:
         raise ShapeError(f"weighted_sum: weights {weights.shape} do not match values {x.data.shape}")
-    out_data = np.multiply(x.data, weights).sum(axis=axis)
+    out_data = np.add.reduce(np.multiply(x.data, weights), axis=axis)  # ndarray.sum without its wrapper
 
     def backward():
         g = out.grad if axis is None else np.expand_dims(out.grad, axis)

@@ -585,6 +585,21 @@ def test_decode_non_finite_checkpoint_names_the_file_and_parameter(tmp_path, cap
     assert err.startswith(f"error: {bad}: ") and "'output_projection'" in err, err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_decode_non_finite_clip_names_the_file_before_the_manifest(tmp_path, capsys, value):
+    synth_dir, decode_args = _train_tiny_model(tmp_path)
+    video_id = json.loads((synth_dir / "test.jsonl").read_text().splitlines()[0])["video_id"]
+    clip = synth_dir / "features" / f"{video_id}.evaf"
+    feats = load_video_features(clip)
+    feats[3, 2] = value
+    save_video_features(clip, feats)
+    capsys.readouterr()
+    assert _run(*decode_args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {clip}: ") and "non-finite" in err, err
+    assert not (tmp_path / "hyps.txt").exists() and not (tmp_path / "hyps.txt.manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["decode", "attn-dump"])
 def test_model_commands_with_an_empty_corpus_name_the_file(tmp_path, capsys, command):
     _, decode_args = _train_tiny_model(tmp_path)

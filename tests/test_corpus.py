@@ -622,6 +622,17 @@ def test_feature_file_trailing_bytes_names_file(tmp_path):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_file_with_a_non_finite_value_names_file(tmp_path, value):
+    path = tmp_path / "bad.evaf"
+    feats = np.ones((4, 3))
+    feats[2, 1] = value
+    save_video_features(path, feats)
+    with pytest.raises(CorpusParseError, match="non-finite value in the 4x3 feature payload") as exc:
+        load_video_features(path)
+    assert str(path) in str(exc.value)
+
+
 def test_feature_file_loads_from_pipe(tmp_path):
     path = tmp_path / "v.evaf"
     save_video_features(path, np.arange(6.0).reshape(2, 3))

@@ -462,6 +462,15 @@ def test_gaussian_target_matches_density_softmax_oracle():
     np.testing.assert_allclose(gaussian_target(7, 3.0, 1.0, 1.0, 1.0), expected, atol=1e-10)
 
 
+def test_gaussian_target_is_memoized_read_only():
+    args = (7, 3.0, 1.0, 1.0, 0.5)
+    target = gaussian_target(*args)
+    assert gaussian_target(*args) is target
+    assert target.tobytes() == gaussian_target.__wrapped__(*args).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        target[0] = 1.0
+
+
 def test_gaussian_target_temperature_limits():
     low = gaussian_target(7, 3.0, 1.0, 1.0, 1e-3)
     one_hot = np.zeros(7)
@@ -653,7 +662,7 @@ def test_forward_full_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("layers, dropout, training, entries", [
-    (2, 0.1, True, 86), (2, 0.1, False, 74), (1, 0.0, False, 48),
+    (2, 0.1, True, 82), (2, 0.1, False, 70), (1, 0.0, False, 44),
 ], ids=["2+2-train-step", "2+2-eval", "1+1-criterion-1"])
 def test_forward_records_the_tape_entries_the_readme_states(layers, dropout, training, entries):
     # one residual_norm per sublayer; a train step adds a dropout per sublayer and embedding

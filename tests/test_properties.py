@@ -1,6 +1,6 @@
-"""Property tests: checkpoint round trips, corrupted binaries, ambiguous-set selection,
-translation sets, splits, corpus parsing, the baseline similarity, the decoding
-normalizer, greedy search and corpus BLEU.
+"""Property tests: checkpoint round trips, corrupted binaries (loaded, and read by
+``safa decode``), ambiguous-set selection, translation sets, splits, corpus parsing,
+the baseline similarity, the decoding normalizer, greedy search and corpus BLEU.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -8,15 +8,18 @@ Examples are derandomized, so every run checks the same inputs.
 import itertools
 import json
 import math
+import os
 import re
 import struct
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from safa import cli
 from safa import tensor as T
 from safa.corpus import (
     BOS_ID,
@@ -63,20 +66,21 @@ _CFG = ModelConfig(src_vocab_size=7, tgt_vocab_size=9, video_feature_dim=3, enco
                    decoder_layers=1, d_model=4, d_ffn=8, heads=2, frames_per_clip=5)
 
 
-def _checkpoint_header_offsets(data):
-    """Every byte offset of a checkpoint that is not a parameter value.
+def _checkpoint_layout(data):
+    """(every byte offset that is not a parameter value, every offset where a float64 value starts).
 
     Any 8 value bytes are some float64, so corrupting them can only load.
     """
-    offsets, at = list(range(8)), 8
+    offsets, values, at = list(range(8)), [], 8
     while at < len(data):
         (name_len,) = struct.unpack_from("<H", data, at)
         rank = data[at + 2 + name_len]
         dims = struct.unpack_from(f"<{rank}Q", data, at + 3 + name_len)
         header = 3 + name_len + 8 * rank
         offsets.extend(range(at, at + header))
+        values.extend(range(at + header, at + header + 8 * math.prod(dims), 8))
         at += header + 8 * math.prod(dims)
-    return offsets
+    return offsets, values
 
 
 def _corrupt(data, draw, offsets):
@@ -100,7 +104,7 @@ def test_corrupted_checkpoint_loads_or_names_the_file(tmp_path, draw):
     path = tmp_path / "m.safa"
     ModelParameters.build(_CFG, seed=0).save(path)
     data = path.read_bytes()
-    path.write_bytes(_corrupt(data, draw, _checkpoint_header_offsets(data)))
+    path.write_bytes(_corrupt(data, draw, _checkpoint_layout(data)[0]))
     _loads_or_names_the_file(path, lambda p: ModelParameters.load(p, _CFG), T.CheckpointError)
 
 
@@ -112,6 +116,83 @@ def test_corrupted_feature_file_loads_or_names_the_file(tmp_path, draw):
     data = path.read_bytes()
     path.write_bytes(_corrupt(data, draw, range(len(data))))
     _loads_or_names_the_file(path, load_video_features, CorpusParseError)
+
+
+@pytest.fixture(scope="module")
+def decode_run(tmp_path_factory):
+    """``safa decode`` argv for a one-step model on a synthetic test split, and the decode output path."""
+    root = tmp_path_factory.mktemp("decode")
+    synth = root / "synth"
+    ckpt = root / "model.ckpt"
+    for argv in (
+        ["synth", "--out-dir", synth, "--n-train", 8, "--n-val", 4, "--n-test", 4, "--frames", 6,
+         "--feature-dim", 4, "--seed", 2],
+        ["train", "--train", synth / "train.jsonl", "--val", synth / "validation.jsonl", "--features",
+         synth / "features", "--out", ckpt, "--vocab-min-count", 1, "--max-steps", 1, "--encoder-layers", 1,
+         "--decoder-layers", 1, "--d-model", 8, "--d-ffn", 16, "--heads", 2, "--seed", 3],
+    ):
+        assert cli.main([str(a) for a in argv]) == 0
+    out = root / "hyps.txt"
+    argv = ["decode", "--corpus", synth / "test.jsonl", "--features", synth / "features", "--checkpoint", ckpt,
+            "--model-config", root / "model.ckpt.cfg", "--src-vocab", root / "model.ckpt.src-vocab.txt",
+            "--tgt-vocab", root / "model.ckpt.tgt-vocab.txt", "--out", out]
+    return [str(a) for a in argv], out
+
+
+def _corrupt_once(data, draw, header, values, width):
+    """Truncate ``data``, change one of its ``header`` bytes, or set the value at one of ``values`` to NaN or Inf."""
+    kind = draw.draw(st.sampled_from(["truncate", "header", "value"]))
+    if kind == "truncate":
+        return data[:draw.draw(st.integers(0, len(data) - 1))]
+    data = bytearray(data)
+    if kind == "header":
+        at = draw.draw(st.sampled_from(header))
+        data[at] = (data[at] + draw.draw(st.integers(1, 255))) % 256
+    else:
+        at = draw.draw(st.sampled_from(values))
+        value = draw.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        data[at:at + width] = struct.pack("<d" if width == 8 else "<f", value)
+    return bytes(data)
+
+
+def _decode_names_the_file(argv, out, path, capsys):
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err, err
+    assert not out.exists() and not out.with_name(out.name + ".manifest.json").exists()
+
+
+@settings(max_examples=120, **_SETTINGS)
+@given(draw=st.data())
+def test_decode_with_a_corrupted_checkpoint_exits_one_naming_it(decode_run, tmp_path, capsys, draw):
+    argv, out = decode_run
+    data = open(argv[argv.index("--checkpoint") + 1], "rb").read()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_corrupt_once(data, draw, *_checkpoint_layout(data), 8))
+    argv = list(argv)
+    argv[argv.index("--checkpoint") + 1] = str(bad)
+    _decode_names_the_file(argv, out, bad, capsys)
+
+
+@settings(max_examples=120, **_SETTINGS)
+@given(draw=st.data())
+def test_decode_with_a_corrupted_clip_exits_one_naming_it(decode_run, capsys, draw):
+    argv, out = decode_run
+    corpus = argv[argv.index("--corpus") + 1]
+    video_id = json.loads(open(corpus, encoding="utf-8").readline())["video_id"]
+    clip = os.path.join(argv[argv.index("--features") + 1], f"{video_id}.evaf")
+    with open(clip, "rb") as f:
+        data = f.read()
+    # 4 magic and 8 header bytes, then float32 values
+    try:
+        with open(clip, "wb") as f:
+            f.write(_corrupt_once(data, draw, range(12), range(12, len(data), 4), 4))
+        _decode_names_the_file(argv, out, clip, capsys)
+    finally:
+        with open(clip, "wb") as f:
+            f.write(data)
 
 
 def _select_per_level(sets, records, cross_sim, target_sim, config):

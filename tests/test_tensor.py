@@ -224,6 +224,13 @@ def _fd_case(name, rng):
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = rng.integers(0, 5, size=(2, 4))
         return lambda p: T.weighted_sum(T.embedding(p["t"], ids), rng_fixed(name, (2, 4, 3))), {"t": table}
+    if name == "embedding-scaled":
+        # the encoder's and decoder's input: scaled rows plus a constant position table
+        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        ids = rng.integers(0, 5, size=(2, 4))
+        positions = rng.normal(size=(4, 3))
+        return lambda p: T.weighted_sum(T.embedding(p["t"], ids, 1.7, positions),
+                                        rng_fixed(name, (2, 4, 3))), {"t": table}
     if name == "dropout":
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         mask = rng.random(size=(3, 4)) > 0.4
@@ -280,7 +287,8 @@ PRIMITIVE_NAMES = (
 )
 # further cases of the fused primitives
 FUSED_VARIANTS = (
-    "attention-cached-step", "attention-causal", "linear-2d", "linear-nobias", "residual_norm-reused",
+    "attention-cached-step", "attention-causal", "embedding-scaled", "linear-2d", "linear-nobias",
+    "residual_norm-reused",
     "smoothed_cross_entropy-unsmoothed", "weighted_sum-axis",
 )
 
@@ -463,6 +471,23 @@ def test_attention_nan_input_names_attention():
         T.attention(Tensor(q), Tensor(np.ones((1, 3, 4))), Tensor(np.ones((1, 3, 4))), 2)
 
 
+@pytest.mark.parametrize("shape,ok", [
+    ((2, 3, 4), True), ((2, 1, 4), True), ((1, 3, 4), True), ((3, 4), True), ((4,), True), ((), True),
+    ((2, 3, 5), False), ((3, 3, 4), False), ((2, 4), False), ((1, 2, 3, 4), False),
+])
+def test_attention_checks_the_blocked_shape(shape, ok):
+    # blocked broadcasts to (B, Sq, Sk) = (2, 3, 4) and is shared by the heads, never per head
+    rng = np.random.default_rng(3)
+    q, kv = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 4, 4)))
+    blocked = np.zeros(shape, dtype=bool)
+    if ok:
+        expected = T.attention(q, kv, kv, 2).data
+        assert T.attention(q, kv, kv, 2, blocked).data.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(ShapeError, match="blocked shape"):
+            T.attention(q, kv, kv, 2, blocked)
+
+
 def test_kl_divergence_of_a_one_hot_row_is_finite():
     # the zeros sit below the 1e-12 floor, where log p is a constant
     target = np.array([0.2, 0.5, 0.3])
@@ -566,7 +591,7 @@ def test_matmul_constant_operand_keeps_no_grad():
 
 
 def test_elementwise_gradients_skip_constant_operands():
-    # the position table added to every embedding is a constant: its gradient is never formed
+    # a constant operand's gradient is never formed
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
     const = Tensor(rng.normal(size=(3, 2)))
