@@ -29,7 +29,6 @@ from .corpus import (
     build_vocabulary,
     collect_translation_sets,
     compute_clip_window,
-    encode_json,
     flag_ambiguous_samples,
     krippendorff_alpha,
     load_similarity_matrix,
@@ -40,6 +39,7 @@ from .corpus import (
     save_video_features,
     select_ambiguous_sets,
     write_corpus,
+    write_jsonl,
 )
 from .evaluation import (
     DecodeConfig,
@@ -57,7 +57,6 @@ from .training import (
     Schedule,
     TrainConfig,
     make_batches,
-    save_metrics,
     synthetic_splits,
     train,
 )
@@ -118,12 +117,6 @@ def _load_features_dir(directory, video_ids):
     return features
 
 
-def _jsonl(path, rows):
-    with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(encode_json(row) + "\n")
-
-
 def _write_bool_csv(path, header, rows):
     """Write ``(key, flag)`` rows as ``key,true|false`` lines under a two-column header."""
     with open(path, "w", encoding="utf-8") as f:
@@ -168,13 +161,13 @@ def cmd_windows(args):
         raise ValueError(f"duration_ms must be >= {CLIP_WINDOW_MS}, the clip window, got {args.duration_ms}")
     records = _read_corpus(args)
     write_manifest(args.out, args, [args.input])
-    _jsonl(args.out, [{"id": r.id, **vars(compute_clip_window(r, args.duration_ms))} for r in records])
+    write_jsonl(args.out, [{"id": r.id, **vars(compute_clip_window(r, args.duration_ms))} for r in records])
 
 
 def cmd_transets(args):
     records = _read_corpus(args)
     write_manifest(args.out, args, [args.input])
-    _jsonl(args.out, [vars(s) for s in collect_translation_sets(records)])
+    write_jsonl(args.out, [vars(s) for s in collect_translation_sets(records)])
 
 
 def _scorers(args, records):
@@ -198,7 +191,7 @@ def cmd_ambiguous(args):
     cross, target, extra_inputs = _scorers(args, records)
     write_manifest(args.out, args, [args.input, *extra_inputs])
     chosen = select_ambiguous_sets(collect_translation_sets(records), records, cross, target, config)
-    _jsonl(args.out, [vars(c) for c in chosen])
+    write_jsonl(args.out, [vars(c) for c in chosen])
 
 
 def cmd_votes(args):
@@ -419,13 +412,21 @@ def cmd_train(args):
     if built:
         src_vocab.save(out.with_suffix(out.suffix + ".src-vocab.txt"))
         tgt_vocab.save(out.with_suffix(out.suffix + ".tgt-vocab.txt"))
-    save_metrics(args.metrics or out.with_suffix(out.suffix + ".metrics.jsonl"), result.metrics)
+    write_jsonl(args.metrics or out.with_suffix(out.suffix + ".metrics.jsonl"), result.metrics)
     line = f"steps={result.steps} best_val_loss={result.best_val_loss:.6f}"
     if result.diverged:
         print(f"diverged {line} reason={result.diverged_reason}")
         return 2
     print(f"ok {line}")
     return 0
+
+
+def _load_vocab(path, key, size, config_path):
+    """The vocabulary at ``path``, which must hold the ``size`` tokens that ``key`` of the model config gives."""
+    vocab = Vocabulary.load(path)
+    if len(vocab) != size:
+        raise ValueError(f"{path}: {len(vocab)} tokens, but {config_path} gives {key} = {size}")
+    return vocab
 
 
 def _load_model(args):
@@ -435,9 +436,9 @@ def _load_model(args):
     """
     records, _ = parse_corpus(args.corpus)
     _require(records, args.corpus, "no records to read")
-    src_vocab = Vocabulary.load(args.src_vocab)
-    tgt_vocab = Vocabulary.load(args.tgt_vocab)
     cfg = _read_model_config(args.model_config)
+    src_vocab = _load_vocab(args.src_vocab, "src_vocab_size", cfg.src_vocab_size, args.model_config)
+    tgt_vocab = _load_vocab(args.tgt_vocab, "tgt_vocab_size", cfg.tgt_vocab_size, args.model_config)
     params = ModelParameters.load(args.checkpoint, cfg)
     features = _load_features_dir(args.features, sorted({r.video_id for r in records}))
     expected = (cfg.frames_per_clip, cfg.video_feature_dim)

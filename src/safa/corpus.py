@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import read_exact
+from .tensor import all_finite, read_exact
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -149,8 +149,14 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
+        """Read one token a line (blank lines skipped); the reserved tokens come first, and no token repeats."""
+        lines = {}  # token -> its line number
         with _utf8_named(path), open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
+            for lineno, line in enumerate(f, 1):
+                token = line.rstrip("\n")
+                if token and lines.setdefault(token, lineno) != lineno:
+                    raise ValueError(f"{path}:{lineno}: token {token!r} repeats line {lines[token]}")
+        tokens = list(lines)
         if tokens[:4] != list(RESERVED_TOKENS):
             raise ValueError(f"{path}: vocabulary must start with {RESERVED_TOKENS}")
         return cls(tokens)
@@ -177,10 +183,8 @@ def pad_rows(rows):
 
 _REQUIRED_FIELDS = ("id", "source_text", "target_text", "start_ms", "end_ms", "video_id")
 
-# Built once: json.dumps with keyword arguments builds an encoder per call,
-# and json.loads scans for leading and trailing whitespace that a stripped
-# line cannot hold.
-encode_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+# Built once: json.loads scans for leading and trailing whitespace that a
+# stripped line cannot hold.
 _decode_json = json.JSONDecoder().raw_decode
 
 
@@ -191,13 +195,6 @@ def _utf8_named(path):
         yield
     except UnicodeDecodeError as exc:
         raise CorpusParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
-
-
-def record_to_json(record):
-    payload = {name: getattr(record, name) for name in _REQUIRED_FIELDS}
-    if record.split_hint is not None:
-        payload["split_hint"] = record.split_hint
-    return encode_json(payload)
 
 
 def parse_corpus(path, lenient=False):
@@ -234,10 +231,22 @@ def parse_corpus(path, lenient=False):
     return records, skipped
 
 
-def write_corpus(path, records):
+def write_jsonl(path, rows):
+    """Write each dict of ``rows`` as one line of JSON: keys sorted, text as UTF-8, not escaped.
+
+    The encoder is built once a file; json.dumps with keyword arguments would build one a row.
+    """
+    encode_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(record_to_json(record) + "\n")
+        for row in rows:
+            f.write(encode_json(row) + "\n")
+
+
+def write_corpus(path, records):
+    """Write ``records`` in the line-delimited format ``parse_corpus`` reads; an unset split hint is left out."""
+    fields = _REQUIRED_FIELDS + ("split_hint",)
+    write_jsonl(path, ({name: value for name in fields if (value := getattr(r, name)) is not None}
+                       for r in records))
 
 
 def compute_clip_window(record, video_duration_ms=None):
@@ -457,6 +466,8 @@ def build_splits(records, helpful_by_id, seed=0, evaluation_cap=None):
 def build_vocabulary(records, side, min_count=3):
     """Whitespace-token vocabulary with reserved ids; rare tokens map to unk.
 
+    A reserved token found in the text is not counted as a word: it keeps its reserved id.
+
     Kept tokens are ordered by descending frequency, ties alphabetically.
     """
     if side not in ("source", "target"):
@@ -466,7 +477,7 @@ def build_vocabulary(records, side, min_count=3):
         text = r.source_text if side == "source" else r.target_text
         counts.update(text.split())
     kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_count),
+        (tok for tok, c in counts.items() if c >= min_count and tok not in RESERVED_TOKENS),
         key=lambda tok: (-counts[tok], tok),
     )
     return Vocabulary(list(RESERVED_TOKENS) + kept)
@@ -616,7 +627,6 @@ def load_video_features(path):
         if f.peek(1):
             raise CorpusParseError(f"{path}: trailing bytes after the {frames}x{dim} feature payload")
     values = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(frames, dim)
-    # as in tensor._finish: a NaN or Inf makes the sum of squares non-finite, so only then test each value
-    if not math.isfinite(np.vdot(values, values)) and not np.isfinite(values).all():
+    if not all_finite(values):
         raise CorpusParseError(f"{path}: non-finite value in the {frames}x{dim} feature payload")
     return values

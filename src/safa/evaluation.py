@@ -14,11 +14,8 @@ from .model import (
     TextBatch,
     VideoFeatureBatch,
     decode,
-    encode_text,
     forward_full,
-    gated_fusion,
-    project_video,
-    selective_attention,
+    fuse_sources,
 )
 
 
@@ -38,16 +35,14 @@ class DecodeConfig:
 
 
 def _fuse_sources(src, src_mask, features, params, cfg):
+    """``fuse_sources`` over bare source ids: no step of the fusion reads the batch's placeholder target."""
     batch = TextBatch(
         src=src, src_mask=src_mask,
         tgt=np.full((src.shape[0], 2), BOS_ID, dtype=np.int64),
         tgt_mask=np.ones((src.shape[0], 2), dtype=bool),
         flags=np.zeros(src.shape[0], dtype=bool),
     )
-    h_text = encode_text(batch, params, cfg)
-    h_video = project_video(features, params)
-    h_attn, frame_attention = selective_attention(h_text, h_video, cfg)
-    fused, _gate = gated_fusion(h_text, h_attn, params)
+    fused, frame_attention, _gate = fuse_sources(batch, features, params, cfg)
     return fused, frame_attention
 
 
@@ -128,22 +123,22 @@ def _beam_group(params, cfg, fused, src_mask, dc):
     Each step does this for the whole (rows, |V|) block at once.
     """
     k, penalty = dc.beam_size, dc.length_penalty
-    cache = DecoderCache(fused, src_mask, params, cfg, dc.max_length)
-    sentence = np.arange(src_mask.shape[0])  # per cache row
-    history = np.empty((sentence.size, 0), dtype=np.int64)  # (rows, step) generated ids
-    logprob = np.zeros(sentence.size)
-    finished = [[] for _ in sentence]
+    cache = DecoderCache(fused, src_mask, params, cfg)  # cache.source: each row's sentence
+    history = np.empty((cache.source.size, 0), dtype=np.int64)  # (rows, step) generated ids
+    logprob = np.zeros(cache.source.size)
+    finished = [[] for _ in cache.source]
     # the exponentials and the partition of every step; a new (rows, |V|)
     # array per step would be mapped and page-faulted afresh each time
-    scratch = np.empty((sentence.size * k, cfg.tgt_vocab_size))
+    scratch = np.empty((cache.source.size * k, cfg.tgt_vocab_size))
     for step in range(dc.max_length):
-        last = history[:, -1:] if step else np.full((sentence.size, 1), BOS_ID, dtype=np.int64)
+        n = cache.source.size
+        last = history[:, -1:] if step else np.full((n, 1), BOS_ID, dtype=np.int64)
         logits = decode(None, last, None, None, params, cfg, cache=cache).data[:, 0]
-        logp = log_normalize(logits, scratch[:sentence.size])
-        rows, tokens = _top_k(logp, k, scratch[:sentence.size])
+        logp = log_normalize(logits, scratch[:n])
+        rows, tokens = _top_k(logp, k, scratch[:n])
         total = logprob[rows] + logp[rows, tokens]
         del logits, logp  # free the (rows, |V|) block before the cache's gather
-        s = sentence[rows]
+        s = cache.source[rows]
         order = np.lexsort((-total, s))
         rows, tokens, total, s = rows[order], tokens[order], total[order], s[order]
         # an offer is taken while fewer than k non-eos offers of its sentence come before it
@@ -152,14 +147,14 @@ def _beam_group(params, cfg, fused, src_mask, dc):
         taken = ahead - ahead[np.searchsorted(s, s)] < k
         ended, keep = taken & ~live, taken & live
         for r, lp in zip(rows[ended], total[ended].tolist()):
-            finished[sentence[r]].append((history[r].tolist(), _score(lp, step + 1, penalty)))
+            finished[cache.source[r]].append((history[r].tolist(), _score(lp, step + 1, penalty)))
         parents = rows[keep]
-        sentence, logprob = sentence[parents], total[keep]
+        logprob = total[keep]
         history = np.concatenate([history[parents], tokens[keep, None]], axis=1)
+        cache.reorder(parents)
         if not parents.size:
             break
-        cache.reorder(parents)
-    for s, ids, lp in zip(sentence, history.tolist(), logprob.tolist()):  # ran out of length without eos
+    for s, ids, lp in zip(cache.source, history.tolist(), logprob.tolist()):  # ran out of length without eos
         finished[s].append((ids, _score(lp, max(len(ids), 1), penalty)))
     return [max(done, key=lambda c: c[1])[0] for done in finished]
 

@@ -131,7 +131,7 @@ class VideoFeatureBatch:
     def __post_init__(self):
         if self.features.ndim != 3:
             raise ValueError(f"features must be (B, M, d_v), got shape {self.features.shape}")
-        if not np.all(np.isfinite(self.features)):
+        if not T.all_finite(self.features):
             raise ValueError("video features contain non-finite values")
 
     @classmethod
@@ -265,7 +265,7 @@ class ModelParameters:
                 raise T.CheckpointError(
                     f"{path}: checkpoint parameter {name!r} has shape {arrays[name].shape}, expected {shape}"
                 )
-            if not np.isfinite(arrays[name]).all():
+            if not T.all_finite(arrays[name]):
                 raise T.CheckpointError(f"{path}: checkpoint parameter {name!r} has non-finite values")
             tensors[name] = Tensor(arrays[name], requires_grad=True)
         return cls(tensors, config)
@@ -395,38 +395,46 @@ def gated_fusion(h_text, h_attn, p):
     return T.lerp(h_text, h_attn, gate), gate
 
 
+def fuse_sources(batch, features, p, cfg, training=False, rng=None):
+    """Encode the sources, attend over their clips' frames and gate the two together.
+
+    Returns (fused (B, S, d_model), frame attention (B, S, M), gate (B, S, d_model)).
+    """
+    h_text = encode_text(batch, p, cfg, training, rng)
+    h_attn, frame_attention = selective_attention(h_text, project_video(features, p), cfg)
+    fused, gate = gated_fusion(h_text, h_attn, p)
+    return fused, frame_attention, gate
+
+
 class DecoderCache:
     """Keys and values for incremental decoding, one row per hypothesis.
 
     ``cross`` holds each decoder layer's cross-attention keys and values,
     projected once from the encoder output, one row per source; ``source``
     maps each hypothesis row to its source row. ``keys`` and ``values``
-    hold each layer's self-attention keys and values, (rows, capacity,
-    d_model), of which the first ``length`` positions are decoded.
-    ``reorder`` keeps and permutes hypothesis rows, so a beam search can
-    follow each kept hypothesis to its parent.
+    hold each layer's self-attention keys and values of the ``length``
+    positions decoded so far, (rows, length, d_model), and grow by one
+    position a step. ``reorder`` keeps and permutes hypothesis rows, so a
+    beam search can follow each kept hypothesis to its parent.
     """
 
-    def __init__(self, h_out, src_mask, p, cfg, capacity):
+    def __init__(self, h_out, src_mask, p, cfg):
         self.cross = [
             tuple(t.data for t in _project_kv(h_out, p, f"decoder.{i}.cross_attn"))
             for i in range(cfg.decoder_layers)
         ]
         self.src_mask = src_mask
         self.source = np.arange(src_mask.shape[0])
-        shape = (src_mask.shape[0], capacity, cfg.d_model)
-        self.keys = [np.empty(shape) for _ in range(cfg.decoder_layers)]
-        self.values = [np.empty(shape) for _ in range(cfg.decoder_layers)]
+        empty = np.empty((src_mask.shape[0], 0, cfg.d_model))
+        self.keys = [empty] * cfg.decoder_layers
+        self.values = [empty] * cfg.decoder_layers
         self.length = 0
 
     def extend(self, layer, kv):
-        """Store one layer's keys and values of the new position; return all so far."""
-        t = self.length
-        if t == self.keys[layer].shape[1]:
-            raise T.ShapeError(f"decoder cache is full at {t} positions")
+        """Append one layer's keys and values of the new position; return all so far."""
         for past, new in zip((self.keys, self.values), kv):
-            past[layer][:, t:t + 1] = new.data
-        return Tensor(self.keys[layer][:, : t + 1]), Tensor(self.values[layer][:, : t + 1])
+            past[layer] = np.concatenate((past[layer], new.data), axis=1)
+        return Tensor(self.keys[layer]), Tensor(self.values[layer])
 
     def cross_kv(self, layer):
         k, v = self.cross[layer]
@@ -561,10 +569,7 @@ def forward_full(batch, features, p, cfg, training=False, rng=None):
     """Full forward pass: encode, attend over frames, fuse, decode, losses."""
     if training and cfg.dropout > 0 and rng is None:
         raise ValueError("training mode with dropout needs an rng")
-    h_text = encode_text(batch, p, cfg, training, rng)
-    h_video = project_video(features, p)
-    h_attn, frame_attention = selective_attention(h_text, h_video, cfg)
-    fused, gate = gated_fusion(h_text, h_attn, p)
+    fused, frame_attention, gate = fuse_sources(batch, features, p, cfg, training, rng)
     logits = decode(
         fused, batch.tgt[:, :-1], batch.tgt_mask[:, :-1], batch.src_mask, p, cfg, training, rng
     )

@@ -142,21 +142,27 @@ class Tape:
                 entry.out.grad = None
 
 
-def _finish(name, inputs, out_data, backward):
-    """Shared tail of every primitive: finiteness check, wrap, record.
+def all_finite(a):
+    """Whether every element of the array ``a`` is finite: the one finiteness test of the package.
 
     Any NaN or Inf makes the sum of squares non-finite, so only then are the
-    elements tested one by one; a finite output whose squares overflow
+    elements tested one by one; a finite array whose squares overflow
     passes there. ``np.vdot`` is one BLAS pass and, unlike ``sum``, does not
     warn on overflow. It is handed the elements in memory order: on a
     transposed view it would otherwise take a strided path 35x slower.
+    """
+    flat = a.ravel(order="K")
+    return math.isfinite(np.vdot(flat, flat)) or bool(np.isfinite(a).all())
+
+
+def _finish(name, inputs, out_data, backward):
+    """Shared tail of every primitive: finiteness check, wrap, record.
 
     Every primitive computes a float64 array, so the output ``Tensor`` is
     built without ``Tensor.__init__``'s conversion; only arithmetic on 0-d
     arrays, which numpy returns as a scalar, is wrapped into a 0-d array.
     """
-    flat = out_data.ravel(order="K")
-    if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(out_data).all():
+    if not all_finite(out_data):
         raise NumericError(f"{name}: non-finite values in output")
     if type(out_data) is not np.ndarray:
         out_data = np.asarray(out_data)

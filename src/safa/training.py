@@ -5,7 +5,6 @@ masks come from one counter-based Philox stream, epoch shuffles from a
 second, so two runs with the same seed produce bit-identical parameters.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, pad_rows
 from .model import TextBatch, VideoFeatureBatch, forward_full
-from .tensor import Tape
+from .tensor import Tape, all_finite
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -73,7 +72,7 @@ def adam_step(params, state, lr, clip_norm=None):
     grads = {}
     for name, t in params.items():
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if not np.all(np.isfinite(g)):
+        if not all_finite(g):
             raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
         grads[name] = g
     if clip_norm is not None:
@@ -193,9 +192,9 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     """Forward/backward/Adam loop with per-epoch validation and early stopping.
 
     Returns the checkpoint with the best validation loss seen; on numeric
-    divergence the last good checkpoint comes back with ``diverged`` set and
-    the error's text, which names the primitive or parameter, in
-    ``diverged_reason``.
+    divergence, in a step or at validation, the last good checkpoint comes
+    back with ``diverged`` set and the error's text, which names the
+    primitive or parameter, in ``diverged_reason``.
     ``checkpoint_callback(step, params)`` fires every ``checkpoint_every``
     steps when that cadence is set.
     """
@@ -210,19 +209,7 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     best_val = math.inf
     bad_evals = 0
     step = 0
-
-    def run_validation():
-        nonlocal best, best_val, bad_evals
-        val = evaluate_loss(params, cfg, val_batches, features)
-        improved = val < best_val
-        if improved:
-            best_val = val
-            best = params.copy()
-            bad_evals = 0
-        else:
-            bad_evals += 1
-        return val, improved
-
+    last_step = tc.max_steps or math.inf
     for _epoch in range(tc.max_epochs):
         order = order_rng.permutation(len(train_batches))
         for index in order:
@@ -254,28 +241,21 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
                     "val_loss": None,
                 }
             )
-            if tc.max_steps and step >= tc.max_steps:
-                val, _ = run_validation()
-                metrics.append(_val_record(step, val))
-                return TrainResult(best, metrics, best_val, step)
-        val, _ = run_validation()
-        metrics.append(_val_record(step, val))
-        if bad_evals >= tc.patience:
+            if step >= last_step:
+                break
+        try:
+            val = evaluate_loss(params, cfg, val_batches, features)
+        except ArithmeticError as exc:  # the last step's update made the forward non-finite
+            return TrainResult(best, metrics, best_val, step, diverged=True, diverged_reason=str(exc))
+        metrics.append({"step": step, "lr": None, "train_loss": None,
+                        "translation_loss": None, "frame_loss": None, "val_loss": val})
+        if val < best_val:
+            best_val, best, bad_evals = val, params.copy(), 0
+        else:
+            bad_evals += 1
+        if bad_evals >= tc.patience or step >= last_step:
             break
     return TrainResult(best, metrics, best_val, step)
-
-
-def _val_record(step, val):
-    return {
-        "step": step, "lr": None, "train_loss": None,
-        "translation_loss": None, "frame_loss": None, "val_loss": val,
-    }
-
-
-def save_metrics(path, metrics):
-    with open(path, "w", encoding="utf-8") as f:
-        for row in metrics:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,8 +318,10 @@ def test_synth_train_decode_attn_dump(tmp_path, capsys):
     )
     assert code == 0
     assert ckpt.exists() and (tmp_path / "model.ckpt.cfg").exists()
-    metrics = [json.loads(l) for l in (tmp_path / "model.ckpt.metrics.jsonl").read_text().splitlines()]
+    lines = (tmp_path / "model.ckpt.metrics.jsonl").read_text().splitlines()
+    metrics = [json.loads(line) for line in lines]
     assert sum(1 for m in metrics if m["train_loss"] is not None) == 8
+    assert lines == [json.dumps(row, sort_keys=True) for row in metrics]
     capsys.readouterr()
 
     hyps = tmp_path / "hyps.txt"
@@ -600,6 +606,40 @@ def test_decode_non_finite_clip_names_the_file_before_the_manifest(tmp_path, cap
     assert not (tmp_path / "hyps.txt").exists() and not (tmp_path / "hyps.txt.manifest.json").exists()
 
 
+@pytest.mark.parametrize("vocab, edit, key", [
+    ("--tgt-vocab", lambda lines: lines[:-1], "tgt_vocab_size"),
+    ("--src-vocab", lambda lines: lines[:-1], "src_vocab_size"),
+    ("--src-vocab", lambda lines: lines + ["extra"], "src_vocab_size"),
+], ids=["tgt-short", "src-short", "src-long"])
+def test_model_commands_check_the_vocabulary_sizes_before_the_manifest(tmp_path, capsys, vocab, edit, key):
+    _, decode_args = _train_tiny_model(tmp_path)
+    path = decode_args[decode_args.index(vocab) + 1]
+    bad = tmp_path / "bad-vocab.txt"
+    bad.write_text("".join(line + "\n" for line in edit(path.read_text(encoding="utf-8").splitlines())),
+                   encoding="utf-8")
+    for command in ("decode", "attn-dump"):
+        argv = [command, *decode_args[1:]]
+        argv[argv.index(path)] = bad
+        capsys.readouterr()
+        assert _run(*argv) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and f"{key} = " in err, err
+        assert not (tmp_path / "hyps.txt").exists() and not (tmp_path / "hyps.txt.manifest.json").exists()
+
+
+def test_decode_vocabulary_with_a_repeated_token_names_the_line(tmp_path, capsys):
+    _, decode_args = _train_tiny_model(tmp_path)
+    path = decode_args[decode_args.index("--tgt-vocab") + 1]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad-vocab.txt"
+    bad.write_text("".join(line + "\n" for line in lines[:-1] + [lines[4]]), encoding="utf-8")
+    decode_args[decode_args.index(path)] = bad
+    capsys.readouterr()
+    assert _run(*decode_args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{len(lines)}: token {lines[4]!r} repeats line 5"), err
+
+
 @pytest.mark.parametrize("command", ["decode", "attn-dump"])
 def test_model_commands_with_an_empty_corpus_name_the_file(tmp_path, capsys, command):
     _, decode_args = _train_tiny_model(tmp_path)
@@ -688,6 +728,33 @@ def test_train_divergence_prints_reason(tmp_path, monkeypatch, capsys):
     assert line.endswith("reason=training loss is not finite")
     metrics = (tmp_path / "model.ckpt.metrics.jsonl").read_text()
     assert metrics == ""
+
+
+def test_train_divergence_at_validation_is_reported_as_a_divergence(tmp_path):
+    # a subprocess, as a user runs it: in-process, pytest's warning filter would turn numpy's
+    # overflow warning into an error of its own
+    def safa(*argv):
+        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        return subprocess.run([sys.executable, "-m", "safa.cli", *map(str, argv)], env=env,
+                              capture_output=True, text=True, cwd=tmp_path)
+
+    synth_dir = tmp_path / "synth"
+    assert safa("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4, "--n-test", 4,
+                "--frames", 6, "--feature-dim", 4, "--seed", 2).returncode == 0
+    # the one step is finite; at lr 1e300 its update overflows the validation forward
+    ckpt = tmp_path / "model.ckpt"
+    run = safa("train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+               "--features", synth_dir / "features", "--out", ckpt, "--vocab-min-count", 1,
+               "--max-steps", 1, "--warmup-steps", 1, "--lr-peak", "1e300", "--encoder-layers", 1,
+               "--decoder-layers", 1, "--d-model", 8, "--d-ffn", 16, "--heads", 2, "--seed", 3)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == "diverged steps=1 best_val_loss=inf reason=linear: non-finite values in output\n"
+    assert "internal error" not in run.stderr
+    for suffix in ("", ".cfg", ".src-vocab.txt", ".tgt-vocab.txt"):
+        assert (tmp_path / f"model.ckpt{suffix}").exists(), suffix
+    rows = [json.loads(line) for line in (tmp_path / "model.ckpt.metrics.jsonl").read_text().splitlines()]
+    assert [(row["step"], row["val_loss"]) for row in rows] == [(1, None)]
 
 
 def test_grad_check_command(capsys):

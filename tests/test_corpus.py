@@ -468,6 +468,19 @@ def test_vocabulary_save_load(tmp_path):
     assert Vocabulary.load(path).tokens == vocab.tokens
 
 
+def test_vocabulary_does_not_count_reserved_tokens_as_words():
+    vocab = build_vocabulary([rec(0, "a <unk> b <eos>", "x")], "source", min_count=1)
+    assert vocab.tokens == ["<pad>", "<unk>", "<bos>", "<eos>", "a", "b"]
+    assert vocab.index["<unk>"] == 1 and vocab.encode("a <unk>") == [4, 1]
+
+
+def test_vocabulary_load_rejects_a_repeated_token_naming_the_line(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("<pad>\n<unk>\n<bos>\n<eos>\na\n\nb\na\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:8: token 'a' repeats line 5$"):
+        Vocabulary.load(path)
+
+
 # ---------------------------------------------------------------------------
 # Flags and context
 # ---------------------------------------------------------------------------

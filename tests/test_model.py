@@ -373,7 +373,7 @@ def test_cached_decode_matches_full_prefix():
     h_out = Tensor(rng.normal(size=(3, 4, cfg.d_model)))
     src_mask = np.array([[True] * 4, [True, True, False, False], [True, True, True, False]])
     steps = 6
-    cache = DecoderCache(h_out, src_mask, p, cfg, capacity=steps)
+    cache = DecoderCache(h_out, src_mask, p, cfg)
     prefix = np.full((3, 1), 2, dtype=np.int64)
     for step in range(steps):
         cached = decode(None, prefix[:, -1:], None, None, p, cfg, cache=cache)
@@ -385,8 +385,10 @@ def test_cached_decode_matches_full_prefix():
             rows = np.array([2, 0, 0, 1])
             cache.reorder(rows)
             h_out, src_mask, prefix = Tensor(h_out.data[rows]), src_mask[rows], prefix[rows]
-    with pytest.raises(T.ShapeError, match="full"):
-        decode(None, prefix[:, -1:], None, None, p, cfg, cache=cache)
+        # the cache holds exactly the positions decoded so far
+        assert cache.length == step + 1
+        for past in cache.keys + cache.values:
+            assert past.shape == (prefix.shape[0], step + 1, cfg.d_model)
     with pytest.raises(T.ShapeError, match="one new position"):
         decode(None, prefix[:, -2:], None, None, p, cfg, cache=cache)
 

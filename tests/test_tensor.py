@@ -513,6 +513,29 @@ def test_finite_output_with_overflowing_squares_passes_silently():
     assert (out.data == -1e200).all()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_all_finite_finds_one_non_finite_value(value, dtype):
+    a = np.ones((3, 4), dtype=dtype)
+    assert T.all_finite(a) is True
+    a[2, 1] = value
+    assert T.all_finite(a) is False
+    assert T.all_finite(a.T) is False  # a transposed view is read in memory order
+
+
+def test_all_finite_edge_cases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # squares that overflow send the test to the element-wise pass, which accepts them
+        assert T.all_finite(np.full((2, 3), 1e200)) is True
+        assert T.all_finite(np.full(5, 1e30, dtype=np.float32)) is True
+    assert T.all_finite(np.empty((0, 4))) is True
+    a = np.arange(12.0).reshape(3, 4)
+    assert T.all_finite(a.T) is True
+    a[0, 3] = np.nan
+    assert T.all_finite(a.T[1:]) is False and T.all_finite(a.T[:3, 1:]) is True
+
+
 # (primitive, left shape, right shape, left operand is a transposed view, operands that need a
 # gradient); the others are constants, the only operands that may broadcast
 _SHAPE_CASES = [
