@@ -10,13 +10,16 @@ import numpy as np
 from .corpus import BOS_ID, EOS_ID, _utf8_named, pad_rows
 from .model import (
     DecoderCache,
+    ModelConfig,
     ModelParameters,
     TextBatch,
     VideoFeatureBatch,
     decode,
+    decode_losses,
     forward_full,
     fuse_sources,
 )
+from .tensor import Tensor, check_gradients
 
 
 @dataclass
@@ -270,11 +273,20 @@ def mean_central_attention(params, cfg, src, src_mask, features):
 # ---------------------------------------------------------------------------
 
 
-def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
-    """Finite-difference check of the composed loss on one random tiny batch."""
-    from .model import ModelConfig
-    from .tensor import check_gradients
+class _ReadRecorder(dict):
+    """A parameter dict that notes every name looked up through it."""
 
+    def __init__(self, tensors):
+        super().__init__(tensors)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def _gradient_check_inputs(seed, d_model, frames):
+    """(cfg, params, batch, features) of the full-loss gradient check at ``seed``."""
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(
         src_vocab_size=8, tgt_vocab_size=8, video_feature_dim=3,
@@ -291,13 +303,36 @@ def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
         tgt=tgt, tgt_mask=np.ones((2, 4), dtype=bool),
         flags=np.array([True, False]),
     )
-    feats = VideoFeatureBatch(rng.normal(size=(2, frames, 3)))
+    return cfg, params, batch, VideoFeatureBatch(rng.normal(size=(2, frames, 3)))
 
-    def fn(tensors):
-        _, breakdown = forward_full(batch, feats, ModelParameters(tensors, cfg), cfg)
-        return breakdown.loss
 
-    return check_gradients(fn, params.tensors, epsilon=epsilon)
+def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
+    """Finite-difference check of the composed loss on one random tiny batch.
+
+    A parameter ``fuse_sources`` does not read cannot change the fused
+    sources, so those parameters are checked through ``decode_losses`` on
+    the fused sources computed once; the parameters fusion reads, found by
+    recording its lookups, through the full forward. The tail records the
+    same tape entries in the same order either way, so the errors equal a
+    single check of ``forward_full`` over every parameter.
+    """
+    cfg, params, batch, feats = _gradient_check_inputs(seed, d_model, frames)
+    recorder = _ReadRecorder(params.tensors)
+    fused, frame_attention, _gate = fuse_sources(batch, feats, ModelParameters(recorder, cfg), cfg)
+    fused, frame_attention = Tensor(fused.data), Tensor(frame_attention.data)
+    fusion = {name: t for name, t in params.items() if name in recorder.read}
+    rest = {name: t for name, t in params.items() if name not in recorder.read}
+
+    # both read the perturbed entries through ``params``, which holds the same tensors
+    def full(_):
+        return forward_full(batch, feats, params, cfg)[1].loss
+
+    def tail(_):
+        return decode_losses(fused, frame_attention, batch, feats, params, cfg)[1].loss
+
+    return np.maximum(
+        check_gradients(full, fusion, epsilon=epsilon), check_gradients(tail, rest, epsilon=epsilon)
+    )
 
 
 @dataclass

@@ -565,11 +565,11 @@ def total_loss(per_sample_losses, flags, frame_loss, cfg):
     )
 
 
-def forward_full(batch, features, p, cfg, training=False, rng=None):
-    """Full forward pass: encode, attend over frames, fuse, decode, losses."""
-    if training and cfg.dropout > 0 and rng is None:
-        raise ValueError("training mode with dropout needs an rng")
-    fused, frame_attention, gate = fuse_sources(batch, features, p, cfg, training, rng)
+def decode_losses(fused, frame_attention, batch, features, p, cfg, training=False, rng=None):
+    """The forward after fusion: decode the fused sources and score both losses.
+
+    Returns (logits, breakdown).
+    """
     logits = decode(
         fused, batch.tgt[:, :-1], batch.tgt_mask[:, :-1], batch.src_mask, p, cfg, training, rng
     )
@@ -584,5 +584,13 @@ def forward_full(batch, features, p, cfg, training=False, rng=None):
         cfg.temperature,
     )
     frame_loss = frame_attention_loss(frame_attention, target, batch.src_mask)
-    breakdown = total_loss(per_sample, batch.flags, frame_loss, cfg)
+    return logits, total_loss(per_sample, batch.flags, frame_loss, cfg)
+
+
+def forward_full(batch, features, p, cfg, training=False, rng=None):
+    """Full forward pass: ``fuse_sources``, then ``decode_losses``."""
+    if training and cfg.dropout > 0 and rng is None:
+        raise ValueError("training mode with dropout needs an rng")
+    fused, frame_attention, gate = fuse_sources(batch, features, p, cfg, training, rng)
+    logits, breakdown = decode_losses(fused, frame_attention, batch, features, p, cfg, training, rng)
     return ModelOutput(logits=logits, frame_attention=frame_attention, gate=gate), breakdown

@@ -669,7 +669,8 @@ def check_gradients(fn, params, epsilon=1e-4):
 
     ``fn`` maps the parameter dict to a scalar Tensor and must be
     deterministic (run dropout disabled). The relative error per entry is
-    |analytic - cd| / max(|analytic|, |cd|, 1e-8).
+    |analytic - cd| / max(|analytic|, |cd|, 1e-8); a NaN error is returned
+    as NaN. Each entry is restored after its two calls, also when ``fn`` raises.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -694,14 +695,16 @@ def check_gradients(fn, params, epsilon=1e-4):
         flat_grad = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + epsilon
-            plus = fn(params).item()
-            flat[i] = orig - epsilon
-            minus = fn(params).item()
-            flat[i] = orig
+            try:
+                flat[i] = orig + epsilon
+                plus = fn(params).item()
+                flat[i] = orig - epsilon
+                minus = fn(params).item()
+            finally:
+                flat[i] = orig
             cd = (plus - minus) / (2.0 * epsilon)
             rel = abs(flat_grad[i] - cd) / max(abs(flat_grad[i]), abs(cd), 1e-8)
-            if rel > max_rel:
+            if rel > max_rel or rel != rel:  # a NaN is never greater, and no later error replaces it
                 max_rel = rel
     return max_rel
 

@@ -187,6 +187,7 @@ class TrainResult:
     diverged_reason: str = ""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(params, cfg, train_batches, val_batches, features, train_config,
           checkpoint_callback=None):
     """Forward/backward/Adam loop with per-epoch validation and early stopping.
@@ -194,7 +195,8 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     Returns the checkpoint with the best validation loss seen; on numeric
     divergence, in a step or at validation, the last good checkpoint comes
     back with ``diverged`` set and the error's text, which names the
-    primitive or parameter, in ``diverged_reason``.
+    primitive or parameter, in ``diverged_reason``. numpy's overflow and
+    invalid-value warnings are silenced: the error already names the place.
     ``checkpoint_callback(step, params)`` fires every ``checkpoint_every``
     steps when that cadence is set.
     """

@@ -67,7 +67,7 @@ def test_criterion_01_gradient_fidelity():
     start = time.monotonic()
     errors = [gradient_check_full_loss(seed, d_model=8, frames=4) for seed in range(10)]
     elapsed = time.monotonic() - start
-    worst = max(errors)
+    worst = np.max(errors)  # NaN if any seed's error is NaN; max() could skip it
     ok = worst < 1e-3 and elapsed < 120.0
     assert _report(
         1, "gradient fidelity", ok,

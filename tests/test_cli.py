@@ -751,6 +751,7 @@ def test_train_divergence_at_validation_is_reported_as_a_divergence(tmp_path):
     assert run.returncode == 2, run.stderr
     assert run.stdout == "diverged steps=1 best_val_loss=inf reason=linear: non-finite values in output\n"
     assert "internal error" not in run.stderr
+    assert "RuntimeWarning" not in run.stderr, run.stderr
     for suffix in ("", ".cfg", ".src-vocab.txt", ".tgt-vocab.txt"):
         assert (tmp_path / f"model.ckpt{suffix}").exists(), suffix
     rows = [json.loads(line) for line in (tmp_path / "model.ckpt.metrics.jsonl").read_text().splitlines()]
@@ -761,6 +762,13 @@ def test_grad_check_command(capsys):
     assert _run("grad-check", "--seed", 1, "--d-model", 8, "--frames", 4) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def test_grad_check_fails_on_a_nan_error(capsys, monkeypatch):
+    errors = {3: 1e-6, 4: float("nan"), 5: 2e-6}
+    monkeypatch.setattr(cli, "gradient_check_full_loss", lambda seed, **_: errors[seed])
+    assert _run("grad-check", "--seed", 3, "--repeats", 3) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "max relative error nan"
 
 
 @pytest.mark.parametrize("flag, value", [("--repeats", 0), ("--repeats", -2), ("--frames", 0), ("--d-model", 3)],

@@ -6,22 +6,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safa import evaluation, model
 from safa.corpus import BOS_ID, EOS_ID, SubtitleRecord, build_vocabulary, pad_rows
 from safa.evaluation import (
     DECODE_GROUP,
     DecodeConfig,
     _fuse_sources,
+    _gradient_check_inputs,
+    _ReadRecorder,
     _top_k,
     beam_decode,
     corpus_bleu,
     export_attention,
+    gradient_check_full_loss,
     hypothesis_score,
     log_normalize,
     variant_config,
     write_results_table,
 )
-from safa.model import ModelConfig, ModelParameters, TextBatch, VideoFeatureBatch, decode, forward_full
-from safa.tensor import Tensor
+from safa.model import (
+    ModelConfig,
+    ModelParameters,
+    TextBatch,
+    VideoFeatureBatch,
+    decode,
+    forward_full,
+    fuse_sources,
+    parameter_shapes,
+)
+from safa.tensor import Tensor, check_gradients
 from safa.training import Schedule, TrainConfig, make_batches, train
 
 
@@ -317,6 +330,65 @@ def test_beam_decode_groups_equal_single_sentences(trained):
             for r in records
         ]
         assert beam_decode(params, cfg, src, mask, feats, dc) == alone
+
+
+# ---------------------------------------------------------------------------
+# Full-loss gradient check
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradient_check_equals_one_check_of_forward_full(seed):
+    cfg, params, batch, feats = _gradient_check_inputs(seed, 8, 4)
+
+    def fn(tensors):
+        return forward_full(batch, feats, ModelParameters(tensors, cfg), cfg)[1].loss
+
+    oracle = check_gradients(fn, params.tensors, epsilon=1e-4)
+    assert repr(gradient_check_full_loss(seed, d_model=8, frames=4)) == repr(oracle)
+
+
+def test_fuse_sources_ignores_every_parameter_it_does_not_read():
+    cfg, params, batch, feats = _gradient_check_inputs(7, 8, 4)
+    recorder = _ReadRecorder(params.tensors)
+    reference = fuse_sources(batch, feats, ModelParameters(recorder, cfg), cfg)
+    unread = [name for name in params.tensors if name not in recorder.read]
+    decoder = [name for name in parameter_shapes(cfg) if name.startswith("decoder.")]
+    # the key bias is read by nothing: softmax over the keys is unchanged by it
+    assert sorted(unread) == sorted(
+        ["target_embedding", "output_projection", "encoder.0.self_attn.bk", *decoder])
+    assert sum(params[name].data.size for name in unread) == 1040
+    for name in unread:
+        flat = params[name].data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + 1.0
+            outputs = fuse_sources(batch, feats, params, cfg)
+            flat[i] = orig
+            for out, ref in zip(outputs, reference):
+                assert out.data.tobytes() == ref.data.tobytes(), (name, i)
+
+
+def test_gradient_check_fuses_once_for_the_parameters_fusion_does_not_read(monkeypatch):
+    # Fusion reads 808 entries: 3 + 2 * 808 full forwards, plus the one recording fusion.
+    # It does not read 1040: 3 + 2 * 1040 tails on the fused sources. Each check's 3 are
+    # two determinism calls and one taped call; one check of forward_full makes 3 + 2 * 1848.
+    calls = {"fuse_sources": 0, "decode": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(model, "fuse_sources")
+    counting(evaluation, "fuse_sources")
+    counting(model, "decode")
+    assert gradient_check_full_loss(7, d_model=8, frames=4) < 1e-3
+    assert calls == {"fuse_sources": 1620, "decode": 3702}
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from safa.model import (
     VideoFeatureBatch,
     VocabularyError,
     decode,
+    decode_losses,
     encode_text,
     forward_full,
     frame_attention_loss,
+    fuse_sources,
     gated_fusion,
     gaussian_target,
     label_smoothed_loss,
@@ -646,6 +648,25 @@ def test_forward_full_ablation_identities():
         atol=1e-12,
     )
     np.testing.assert_allclose(with_gamma.translation_loss, plain.translation_loss, atol=1e-12)
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train-dropout"])
+def test_forward_full_is_fuse_sources_then_decode_losses(training):
+    cfg = tiny_config(encoder_layers=2, decoder_layers=2, dropout=0.1)
+    p = ModelParameters.build(cfg, seed=6)
+    rng = np.random.default_rng(15)
+    batch = make_batch(rng, cfg, flags=[True, False])
+    feats = make_features(rng, cfg)
+    out, whole = forward_full(batch, feats, p, cfg, training, np.random.Generator(np.random.Philox(2)))
+    dropout_rng = np.random.Generator(np.random.Philox(2))
+    fused, frame_attention, gate = fuse_sources(batch, feats, p, cfg, training, dropout_rng)
+    logits, split = decode_losses(fused, frame_attention, batch, feats, p, cfg, training, dropout_rng)
+    assert logits.data.tobytes() == out.logits.data.tobytes()
+    assert frame_attention.data.tobytes() == out.frame_attention.data.tobytes()
+    assert gate.data.tobytes() == out.gate.data.tobytes()
+    assert split.loss.data.tobytes() == whole.loss.data.tobytes()
+    assert (split.total, split.translation_loss, split.frame_loss) == (
+        whole.total, whole.translation_loss, whole.frame_loss)
 
 
 def test_forward_full_gradients_match_finite_differences():

@@ -299,7 +299,7 @@ def test_primitive_gradients_match_central_differences(name):
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         fn, params = _fd_case(name, rng)
-        worst = max(worst, check_gradients(fn, params, epsilon=1e-4))
+        worst = np.maximum(worst, check_gradients(fn, params, epsilon=1e-4))
     assert worst < 1e-4, f"{name}: max relative error {worst}"
 
 
@@ -568,7 +568,7 @@ def test_broadcast_and_batched_gradients_match_central_differences(name, shape_a
         operands = {"a": a.swapaxes(-1, -2) if transposed else a, "b": b}
         params = {k: Tensor(v, requires_grad=True) for k, v in operands.items() if k in taped}
         constants = {k: Tensor(v) for k, v in operands.items() if k not in taped}
-        worst = max(worst, check_gradients(lambda p: fn({**constants, **p}), params, epsilon=1e-4))
+        worst = np.maximum(worst, check_gradients(lambda p: fn({**constants, **p}), params, epsilon=1e-4))
     assert worst < 1e-4, f"{key}: max relative error {worst}"
 
 
@@ -691,6 +691,37 @@ def test_check_gradients_rejects_nondeterminism():
 
     with pytest.raises(DeterminismError):
         check_gradients(fn, {"x": Tensor([1.0], requires_grad=True)})
+
+
+def test_check_gradients_returns_nan_for_a_nan_gradient():
+    def nan_first(p):
+        x = p["x"]
+
+        def backward():
+            T._accumulate(x, np.array([np.nan, 1.0]))
+
+        return T._finish("nan_first", (x,), x.data[1].copy(), backward)
+
+    # the second entry agrees, so a NaN the comparison skipped would pass as ~1e-13
+    err = check_gradients(nan_first, {"x": Tensor([1.0, 2.0], requires_grad=True)})
+    assert math.isnan(err)
+    assert not err < 1e-3
+
+
+def test_check_gradients_restores_the_entry_when_fn_raises():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    original = w.data.tobytes()
+    calls = {"n": 0}
+
+    def fn(p):
+        calls["n"] += 1
+        if calls["n"] == 4:  # two determinism calls, one taped, then w[0] + epsilon
+            raise NumericError("raised while w[0] is perturbed")
+        return T.weighted_sum(p["w"], np.ones(2))
+
+    with pytest.raises(NumericError, match="perturbed"):
+        check_gradients(fn, {"w": w})
+    assert w.data.tobytes() == original
 
 
 def test_tapes_are_thread_local():
