@@ -83,8 +83,6 @@ def _digest(path):
 
 def _manifest_path(out):
     out = Path(out)
-    if out.suffix == "" and out.is_dir():
-        return out / "manifest.json"
     return out.with_name(out.name + ".manifest.json")
 
 
@@ -285,6 +283,31 @@ _FLAG_DESTS = {"beam_size": "beam", "parallel_schedule": "schedule", "frames_per
                "evaluation_cap": "eval_cap"}
 
 
+def _flag(field):
+    """The flag that sets config ``field``."""
+    return "--" + _FLAG_DESTS.get(field, field).replace("_", "-")
+
+
+def _add_field_flags(parser, cls, names, override=False):
+    """Add ``--<dest>`` for each field of the dataclass ``cls`` in ``names``, with the field's type.
+
+    The default is the field's, or None with ``override``, so that an unset
+    flag leaves the field to another source.
+    """
+    by_name = {f.name: f for f in fields(cls)}
+    for name in names:
+        field = by_name[name]
+        parser.add_argument(_flag(name), dest=_FLAG_DESTS.get(name, name), type=field.type,
+                            default=None if override else field.default)
+
+
+def _field_values(args, cls):
+    """{field: value} for each field of the dataclass ``cls`` that a flag of ``args`` sets (None sets nothing)."""
+    given = vars(args)
+    dests = {f.name: _FLAG_DESTS.get(f.name, f.name) for f in fields(cls)}
+    return {name: given[dest] for name, dest in dests.items() if given.get(dest) is not None}
+
+
 @contextmanager
 def _flag_named(args):
     """Prefix a ValueError that starts with a config field with the flag of ``args`` that sets it."""
@@ -292,10 +315,9 @@ def _flag_named(args):
         yield
     except ValueError as exc:
         field = str(exc).split(" ", 1)[0]
-        dest = _FLAG_DESTS.get(field, field)
-        if dest not in vars(args):
+        if _FLAG_DESTS.get(field, field) not in vars(args):
             raise
-        raise ValueError(f"--{dest.replace('_', '-')}: {exc}") from None
+        raise ValueError(f"{_flag(field)}: {exc}") from None
 
 
 def _require(items, path, what):
@@ -319,7 +341,7 @@ def _resolve_model_config(args, src_vocab, tgt_vocab, features):
     sample = next(iter(features.values()))
     data = {"src_vocab_size": len(src_vocab), "tgt_vocab_size": len(tgt_vocab),
             "frames_per_clip": sample.shape[0], "video_feature_dim": sample.shape[1]}
-    flags = {key: getattr(args, key) for key in _MODEL_OVERRIDES if getattr(args, key) is not None}
+    flags = _field_values(args, ModelConfig)
     kwargs = data
     if args.model_config:
         with _naming(args.model_config):
@@ -350,14 +372,12 @@ def _model_input_at_fault(kwargs, flags, path):
     if not flags or not valid(kwargs):
         return path
     alone = [key for key, value in flags.items() if not valid({**kwargs, key: value})]
-    return ", ".join("--" + key.replace("_", "-") for key in alone or flags)
+    return ", ".join(_flag(key) for key in alone or flags)
 
 
 def _add_model_flags(parser):
     parser.add_argument("--model-config", type=Path, help="key = value config file")
-    types = {f.name: f.type for f in fields(ModelConfig)}
-    for key in _MODEL_OVERRIDES:
-        parser.add_argument("--" + key.replace("_", "-"), type=types[key], dest=key)
+    _add_field_flags(parser, ModelConfig, _MODEL_OVERRIDES, override=True)
 
 
 def _load_vocabs(args, train_records):
@@ -369,13 +389,9 @@ def _load_vocabs(args, train_records):
 
 
 def cmd_train(args):
-    tc = TrainConfig(
-        tokens_per_batch=args.tokens_per_batch, max_steps=args.max_steps,
-        max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
-        clip_norm=None if args.no_clip else args.clip_norm,
-        checkpoint_every=args.checkpoint_every,
-        schedule=Schedule(args.warmup_steps, args.lr_start, args.lr_peak),
-    )
+    tc = TrainConfig(**{**_field_values(args, TrainConfig),
+                        "clip_norm": None if args.no_clip else args.clip_norm,
+                        "schedule": Schedule(**_field_values(args, Schedule))})
     train_records, _ = parse_corpus(args.train)
     val_records, _ = parse_corpus(args.val)
     _require(train_records, args.train, "no records to train on")
@@ -458,7 +474,7 @@ def _load_model(args):
 
 
 def cmd_decode(args):
-    dc = DecodeConfig(args.beam, args.max_length, args.length_penalty)
+    dc = DecodeConfig(**_field_values(args, DecodeConfig))
     _, _, tgt_vocab, cfg, params, src, mask, feats = _load_model(args)
     hypotheses = beam_decode(params, cfg, src, mask, feats, dc)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -475,12 +491,7 @@ def cmd_bleu(args):
 
 
 def cmd_ablate(args):
-    exp = SyntheticExperiment(
-        n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
-        frames=args.frames, feature_dim=args.feature_dim, seed=args.seed,
-        bump=args.bump, max_steps=args.max_steps, dropout=args.dropout,
-        lr_peak=args.lr_peak, patience=args.patience,
-    )
+    exp = SyntheticExperiment(**_field_values(args, SyntheticExperiment))
     variants = args.variants.split(",") if args.variants else None
     rows, details = run_synthetic_experiment(exp, variants)
     write_manifest(args.out, args, [])
@@ -515,12 +526,8 @@ def cmd_grad_check(args):
 
 def _add_dataset_flags(parser):
     """The synthetic-dataset flags ``synth`` and ``ablate`` share."""
-    parser.add_argument("--n-train", dest="n_train", type=int, default=2000)
-    parser.add_argument("--n-val", dest="n_val", type=int, default=200)
-    parser.add_argument("--n-test", dest="n_test", type=int, default=200)
-    parser.add_argument("--frames", type=int, default=12)
-    parser.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
-    parser.add_argument("--bump", choices=("central", "edge"), default="central")
+    _add_field_flags(parser, SyntheticExperiment, ("n_train", "n_val", "n_test", "frames", "feature_dim"))
+    parser.add_argument("--bump", choices=("central", "edge"), default=SyntheticExperiment.bump)
 
 
 def _add_model_inputs(parser):
@@ -569,8 +576,8 @@ def build_parser():
     p.add_argument("--scorer", choices=("baseline", "matrix"), default="baseline")
     p.add_argument("--cross-matrix", dest="cross_matrix", type=Path)
     p.add_argument("--target-matrix", dest="target_matrix", type=Path)
-    p.add_argument("--target-threshold", dest="target_threshold", type=float, default=0.3)
-    p.add_argument("--schedule", default="0.8,0.7,0.6,0.5,0.4,0.3")
+    _add_field_flags(p, AmbiguitySelectionConfig, ("target_threshold",))
+    p.add_argument("--schedule", default=",".join(map(str, AmbiguitySelectionConfig.parallel_schedule)))
 
     p = stage("votes", cmd_votes, help="aggregate crowd votes into helpful decisions")
     p.add_argument("--out", type=Path, required=True)
@@ -610,16 +617,11 @@ def build_parser():
     p.add_argument("--tgt-vocab", dest="tgt_vocab", type=Path)
     p.add_argument("--vocab-min-count", dest="vocab_min_count", type=int, default=3)
     p.add_argument("--metrics", type=Path)
-    p.add_argument("--tokens-per-batch", dest="tokens_per_batch", type=int, default=16_000)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=0)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=1_000)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--warmup-steps", dest="warmup_steps", type=int, default=2_000)
-    p.add_argument("--lr-start", dest="lr_start", type=float, default=1e-7)
-    p.add_argument("--lr-peak", dest="lr_peak", type=float, default=5e-3)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float, default=1.0)
+    _add_field_flags(p, TrainConfig, ("tokens_per_batch", "max_steps", "max_epochs", "patience"))
+    _add_field_flags(p, Schedule, ("warmup_steps", "lr_start", "lr_peak"))
+    p.add_argument("--clip-norm", dest="clip_norm", type=float, default=TrainConfig.clip_norm)
     p.add_argument("--no-clip", dest="no_clip", action="store_true")
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=0,
+    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=TrainConfig.checkpoint_every,
                    help="also save the live parameters every N steps")
     _add_model_flags(p)
     _common(p)
@@ -627,9 +629,7 @@ def build_parser():
 
     p = sub.add_parser("decode", help="beam-decode a corpus")
     _add_model_inputs(p)
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--max-length", dest="max_length", type=int, default=64)
-    p.add_argument("--length-penalty", dest="length_penalty", type=float, default=1.0)
+    _add_field_flags(p, DecodeConfig, ("beam_size", "max_length", "length_penalty"))
     _common(p)
     p.set_defaults(func=cmd_decode)
 
@@ -642,10 +642,7 @@ def build_parser():
     p = sub.add_parser("ablate", help="synthetic-task ablation table")
     p.add_argument("--out", type=Path, required=True)
     _add_dataset_flags(p)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=600)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--lr-peak", dest="lr_peak", type=float, default=2e-3)
+    _add_field_flags(p, SyntheticExperiment, ("max_steps", "patience", "dropout", "lr_peak"))
     p.add_argument("--variants", help="comma-separated subset of variants")
     _common(p)
     p.set_defaults(func=cmd_ablate)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, _utf8_named, pad_rows
+from .corpus import BOS_ID, EOS_ID, _utf8_named, build_vocabulary, pad_rows
 from .model import (
     DecoderCache,
     ModelConfig,
@@ -20,6 +20,7 @@ from .model import (
     fuse_sources,
 )
 from .tensor import Tensor, check_gradients
+from .training import Schedule, TrainConfig, central_frame_indices, make_batches, synthetic_splits, train
 
 
 @dataclass
@@ -260,8 +261,6 @@ def write_results_table(path, rows):
 
 def mean_central_attention(params, cfg, src, src_mask, features):
     """Mean frame-attention mass on the central third, over unmasked tokens."""
-    from .training import central_frame_indices
-
     _, frame_attention = _fuse_sources(src, src_mask, features, params, cfg)
     central = central_frame_indices(frame_attention.data.shape[-1])
     mass = frame_attention.data[..., central].sum(axis=-1)
@@ -371,9 +370,6 @@ def run_synthetic_experiment(exp, variants=None):
     details) where details carry trained parameters, the shared config,
     test inputs, and each variant's mean central attention.
     """
-    from .corpus import build_vocabulary
-    from .training import Schedule, TrainConfig, make_batches, synthetic_splits, train
-
     variants = list(variants or ABLATION_VARIANTS)
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
@@ -381,9 +377,6 @@ def run_synthetic_experiment(exp, variants=None):
     (train_records, val_records, test_records), features, flags = synthetic_splits(
         exp.n_train, exp.n_val, exp.n_test, exp.frames, exp.feature_dim, seed=exp.seed, bump=exp.bump,
     )
-
-    from .model import ModelConfig
-
     src_vocab = build_vocabulary(train_records, "source", min_count=1)
     tgt_vocab = build_vocabulary(train_records, "target", min_count=1)
     cfg = ModelConfig(

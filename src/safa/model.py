@@ -84,7 +84,7 @@ class ModelConfig:
             key, value = key.strip(), value.strip()
             if key not in types:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            wants_int = types[key] is int or types[key] == "int"
+            wants_int = types[key] is int
             try:
                 kwargs[key] = int(value) if wants_int else float(value)
             except ValueError:
@@ -382,8 +382,8 @@ def project_video(features, p):
 def selective_attention(h_text, h_video, cfg):
     """Single-head attention from token queries to frame keys/values.
 
-    No learned projections inside the block; the scaling factor is d_model,
-    the queries' width. Returns (attended video per token, frame attention rows).
+    No learned projections inside the block; the scores are scaled by 1/sqrt(d),
+    d the queries' width. Returns (attended video per token, frame attention rows).
     """
     frame_attention = T.attention_weights(h_text, h_video)
     return T.matmul(frame_attention, h_video), frame_attention

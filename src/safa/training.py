@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, pad_rows
+from .corpus import BOS_ID, EOS_ID, SubtitleRecord, pad_rows
 from .model import TextBatch, VideoFeatureBatch, forward_full
 from .tensor import Tape, all_finite
 
@@ -284,8 +284,6 @@ def generate_synthetic_dataset(n, frames, feature_dim, seed=0, bump="central"):
 
     Returns (records, features by video id, flags by record id).
     """
-    from .corpus import SubtitleRecord
-
     if n % 2 != 0:
         raise ValueError("n must be even so the classes balance exactly")
     if frames < 1:

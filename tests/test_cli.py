@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -655,13 +656,13 @@ def test_model_commands_with_an_empty_corpus_name_the_file(tmp_path, capsys, com
 
 
 def test_ablate_checks_variants_before_any_work(tmp_path, monkeypatch, capsys):
-    from safa import training
+    from safa import evaluation, training
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ablation work started before its variants were checked")
 
     monkeypatch.setattr(training, "generate_synthetic_dataset", forbidden)
-    monkeypatch.setattr(training, "train", forbidden)
+    monkeypatch.setattr(evaluation, "train", forbidden)
     for variants, unknown in (("full,bogus", "'bogus'"), ("full,", "''")):
         capsys.readouterr()
         assert _run("ablate", "--out", tmp_path / "table.csv", "--variants", variants) == 1
@@ -781,45 +782,74 @@ def test_grad_check_without_repeats_exits_one_naming_the_flag(capsys, flag, valu
 
 _DECODE_INPUTS = ["--corpus", "c", "--features", "f", "--checkpoint", "k", "--model-config", "m",
                   "--src-vocab", "s", "--tgt-vocab", "t", "--out", "o"]
-_MODEL_INPUT_KEYS = {"checkpoint", "command", "corpus", "features", "model_config", "out", "seed",
-                     "src_vocab", "tgt_vocab", "threads"}
-_DATASET_KEYS = {"bump", "command", "feature_dim", "frames", "n_test", "n_train", "n_val", "seed", "threads"}
-_MANIFEST_KEYS = {
-    "train": {"ambiguity_weight", "checkpoint_every", "clip_norm", "command", "d_ffn", "d_model",
-              "decoder_layers", "dropout", "encoder_layers", "features", "flags", "frame_loss_weight",
-              "heads", "label_smoothing", "lr_peak", "lr_start", "max_epochs", "max_steps", "metrics",
-              "model_config", "no_clip", "out", "patience", "seed", "src_vocab", "temperature",
-              "tgt_vocab", "threads", "tokens_per_batch", "train", "val", "vocab_min_count",
-              "warmup_steps"},
-    "decode": _MODEL_INPUT_KEYS | {"beam", "length_penalty", "max_length"},
-    "attn-dump": _MODEL_INPUT_KEYS,
-    "synth": _DATASET_KEYS | {"out_dir"},
-    "ablate": _DATASET_KEYS | {"dropout", "lr_peak", "max_steps", "out", "patience", "variants"},
-    "grad-check": {"command", "d_model", "frames", "repeats", "seed", "threads"},
+_MODEL_INPUTS = {"checkpoint": "k", "corpus": "c", "features": "f", "model_config": "m", "out": "o", "seed": 0,
+                 "src_vocab": "s", "tgt_vocab": "t", "threads": 1}
+_DATASET = {"bump": "central", "feature_dim": 16, "frames": 12, "n_test": 200, "n_train": 2000, "n_val": 200,
+            "seed": 0, "threads": 1}
+# each command's manifest config for its minimal argv; the defaults are the config dataclasses' fields
+_MANIFEST_CONFIG = {
+    "train": {"ambiguity_weight": 3.0, "checkpoint_every": 0, "clip_norm": 1.0, "command": "train", "d_ffn": None,
+              "d_model": 8, "decoder_layers": None, "dropout": 0.25, "encoder_layers": None, "features": "f",
+              "flags": None, "frame_loss_weight": None, "heads": 2, "label_smoothing": None, "lr_peak": 0.005,
+              "lr_start": 1e-07, "max_epochs": 1000, "max_steps": 0, "metrics": None, "model_config": None,
+              "no_clip": False, "out": "o", "patience": 5, "seed": 0, "src_vocab": None, "temperature": None,
+              "tgt_vocab": None, "threads": 1, "tokens_per_batch": 16000, "train": "t", "val": "v",
+              "vocab_min_count": 3, "warmup_steps": 2000},
+    "decode": {**_MODEL_INPUTS, "command": "decode", "beam": 5, "length_penalty": 1.0, "max_length": 64},
+    "attn-dump": {**_MODEL_INPUTS, "command": "attn-dump"},
+    "synth": {**_DATASET, "command": "synth", "out_dir": "d"},
+    "ablate": {**_DATASET, "command": "ablate", "dropout": 0.1, "lr_peak": 0.002, "max_steps": 600, "out": "o",
+               "patience": 5, "variants": None},
+    "grad-check": {"command": "grad-check", "d_model": 8, "frames": 4, "repeats": 1, "seed": 0, "threads": 1},
+    "pipeline ambiguous": {"command": "pipeline", "cross_matrix": None, "input": "c", "lenient": False, "out": "o",
+                           "schedule": "0.8,0.7,0.6,0.5,0.4,0.3", "scorer": "baseline", "seed": 0,
+                           "stage": "ambiguous", "target_matrix": None, "target_threshold": 0.3, "threads": 1},
 }
-_MINIMAL_ARGV = {
-    "train": ["--train", "t", "--val", "v", "--features", "f", "--out", "o",
-              "--d-model", "8", "--heads", "2", "--dropout", "0.25", "--ambiguity-weight", "3"],
+_REQUIRED_ARGV = {
+    "train": ["--train", "t", "--val", "v", "--features", "f", "--out", "o"],
     "decode": _DECODE_INPUTS,
     "attn-dump": _DECODE_INPUTS,
     "synth": ["--out-dir", "d"],
     "ablate": ["--out", "o"],
     "grad-check": [],
+    "pipeline ambiguous": ["--in", "c", "--out", "o"],
 }
+_MINIMAL_ARGV = {**_REQUIRED_ARGV, "train": [*_REQUIRED_ARGV["train"], "--d-model", "8", "--heads", "2",
+                                             "--dropout", "0.25", "--ambiguity-weight", "3"]}
 
 
-@pytest.mark.parametrize("command", sorted(_MANIFEST_KEYS))
+def _typed(config):
+    return {key: (value, type(value).__name__) for key, value in config.items()}
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_CONFIG))
 def test_manifest_config_keys_per_command(tmp_path, command):
-    argv = [command, *_MINIMAL_ARGV[command]]
+    argv = [*command.split(), *_MINIMAL_ARGV[command]]
     args = cli.build_parser().parse_args(argv)
     args.argv = argv
     cli.write_manifest(tmp_path / "out", args, [])
     config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
-    assert set(config) == _MANIFEST_KEYS[command]
-    if command == "train":  # model overrides keep ModelConfig's field types
-        assert [config[k] for k in ("d_model", "heads", "dropout", "ambiguity_weight", "temperature")] \
-            == [8, 2, 0.25, 3.0, None]
-        assert isinstance(config["d_model"], int) and isinstance(config["ambiguity_weight"], float)
+    # the types too: model overrides keep ModelConfig's field types ("3" is read as 3.0)
+    assert _typed(config) == _typed(_MANIFEST_CONFIG[command])
+
+
+with mock.patch.object(cli, "_add_field_flags", wraps=cli._add_field_flags) as _spy:
+    cli.build_parser()
+# (command, dataclass, field, override) of every flag _add_field_flags adds
+_FIELD_FLAGS = [(call.args[0].prog.removeprefix("safa "), call.args[1], name, call.kwargs.get("override", False))
+                for call in _spy.call_args_list for name in call.args[2]]
+
+
+@pytest.mark.parametrize("command, cls, name, override", _FIELD_FLAGS,
+                         ids=[f"{command}:{name}" for command, _, name, _ in _FIELD_FLAGS])
+def test_field_flag_takes_the_field_default_and_type(command, cls, name, override):
+    field = next(f for f in fields(cls) if f.name == name)
+    dest = cli._FLAG_DESTS.get(name, name)
+    argv = [*command.split(), *_REQUIRED_ARGV[command]]
+    unset = getattr(cli.build_parser().parse_args(argv), dest)
+    given = getattr(cli.build_parser().parse_args([*argv, cli._flag(name), str(field.default)]), dest)
+    assert (unset is None) if override else (unset == field.default and type(unset) is field.type)
+    assert given == field.default and type(given) is field.type
 
 
 _DATASET_FIELDS = list(inspect.signature(synthetic_splits).parameters)
@@ -847,7 +877,7 @@ def _option_strings(*words):
 @pytest.mark.parametrize("command", sorted(_FLAG_FIELDS))
 def test_every_field_a_flag_sets_is_blamed_on_a_real_option(command):
     words = ["pipeline", command] if command == "ambiguous" else [command]
-    minimal = ["--in", "c", "--out", "o"] if command == "ambiguous" else _MINIMAL_ARGV[command]
+    minimal = _MINIMAL_ARGV[" ".join(words)]
     args = cli.build_parser().parse_args([*words, *minimal])
     options = _option_strings(*words)
     for field in _FLAG_FIELDS[command]:
