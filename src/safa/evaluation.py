@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import pickle
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -305,6 +307,68 @@ def _gradient_check_inputs(seed, d_model, frames):
     return cfg, params, batch, VideoFeatureBatch(rng.normal(size=(2, frames, 3)))
 
 
+_SIGKILL = 9  # POSIX fixes it; ``os`` names no signals, and ``signal`` is not otherwise loaded
+
+
+def _forked(fn):
+    """Start ``fn()`` in a forked child; return ``wait(kill=False)``, which gives its value.
+
+    ``wait`` re-raises the child's exception with its type and message, raises
+    RuntimeError naming the exit status of a child that ends without a result,
+    and reaps the child in every case; ``wait(kill=True)`` ends and reaps it
+    unheard. The child leaves through ``os._exit``, so it never returns into
+    the caller's stack, flushes the caller's stdio buffers or runs exit
+    handlers. Where ``os.fork`` is missing or fails, ``wait`` runs ``fn`` in
+    the calling process.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):
+        os.close(read_end)
+        os.close(write_end)
+        return lambda kill=False: None if kill else fn()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                result = (True, fn())
+            except BaseException as exc:
+                result = (False, exc)
+            try:
+                payload = pickle.dumps(result)
+                pickle.loads(payload)  # an exception whose constructor takes other arguments fails here
+            except Exception:
+                value = result[1]
+                payload = pickle.dumps((False, RuntimeError(f"{type(value).__name__}: {value}")))
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+
+    os.close(write_end)
+
+    def wait(kill=False):
+        with open(read_end, "rb") as pipe:
+            try:
+                if kill:
+                    os.kill(pid, _SIGKILL)
+                    return None
+                payload = pipe.read()
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if not payload:
+            raise RuntimeError(f"the forked child ended without a result (exit status {code})")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    return wait
+
+
 def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
     """Finite-difference check of the composed loss on one random tiny batch.
 
@@ -313,14 +377,19 @@ def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
     the fused sources computed once; the parameters fusion reads, found by
     recording its lookups, through the full forward. The tail records the
     same tape entries in the same order either way, so the errors equal a
-    single check of ``forward_full`` over every parameter.
+    single check of ``forward_full`` over every parameter. A parameter that
+    neither fusion nor the tail reads is skipped: its central difference is
+    exactly 0 and its gradient ``None``, which reads as 0, so its error is 0.
+    The tail's check runs in a forked child (see ``_forked``) while this
+    process checks fusion's parameters; fusion's error is raised first, as
+    if the two ran one after the other.
     """
     cfg, params, batch, feats = _gradient_check_inputs(seed, d_model, frames)
     recorder = _ReadRecorder(params.tensors)
-    fused, frame_attention, _gate = fuse_sources(batch, feats, ModelParameters(recorder, cfg), cfg)
+    recorded = ModelParameters(recorder, cfg)
+    fused, frame_attention, _gate = fuse_sources(batch, feats, recorded, cfg)
     fused, frame_attention = Tensor(fused.data), Tensor(frame_attention.data)
     fusion = {name: t for name, t in params.items() if name in recorder.read}
-    rest = {name: t for name, t in params.items() if name not in recorder.read}
 
     # both read the perturbed entries through ``params``, which holds the same tensors
     def full(_):
@@ -329,9 +398,18 @@ def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
     def tail(_):
         return decode_losses(fused, frame_attention, batch, feats, params, cfg)[1].loss
 
-    return np.maximum(
-        check_gradients(full, fusion, epsilon=epsilon), check_gradients(tail, rest, epsilon=epsilon)
-    )
+    def tail_error():
+        decode_losses(fused, frame_attention, batch, feats, recorded, cfg)
+        rest = {name: t for name, t in params.items() if name in recorder.read and name not in fusion}
+        return check_gradients(tail, rest, epsilon=epsilon)
+
+    wait = _forked(tail_error)
+    try:
+        fusion_error = check_gradients(full, fusion, epsilon=epsilon)
+    except BaseException:
+        wait(kill=True)
+        raise
+    return np.maximum(fusion_error, wait())
 
 
 @dataclass

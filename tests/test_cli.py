@@ -731,14 +731,23 @@ def test_train_divergence_prints_reason(tmp_path, monkeypatch, capsys):
     assert metrics == ""
 
 
+def _safa_process(*argv, **kwargs):
+    """``python -m safa.cli`` with ``argv`` in a subprocess, importing this checkout's ``safa``.
+
+    Its stdout is block-buffered when it is not a terminal, as a user's is, also
+    where this process runs with PYTHONUNBUFFERED set.
+    """
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return subprocess.run([sys.executable, "-m", "safa.cli", *map(str, argv)], env=env, **kwargs)
+
+
 def test_train_divergence_at_validation_is_reported_as_a_divergence(tmp_path):
     # a subprocess, as a user runs it: in-process, pytest's warning filter would turn numpy's
     # overflow warning into an error of its own
     def safa(*argv):
-        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        return subprocess.run([sys.executable, "-m", "safa.cli", *map(str, argv)], env=env,
-                              capture_output=True, text=True, cwd=tmp_path)
+        return _safa_process(*argv, capture_output=True, text=True, cwd=tmp_path)
 
     synth_dir = tmp_path / "synth"
     assert safa("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4, "--n-test", 4,
@@ -763,6 +772,22 @@ def test_grad_check_command(capsys):
     assert _run("grad-check", "--seed", 1, "--d-model", 8, "--frames", 4) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def test_grad_check_prints_each_seed_once_to_a_file(tmp_path):
+    # written to a file, stdout is block-buffered: a forked check that flushed this
+    # process's buffer on its way out would print the seeds before it twice
+    out = tmp_path / "grad-check.txt"
+    with open(out, "wb") as stdout:
+        run = _safa_process("grad-check", "--seed", 0, "--repeats", 3, "--d-model", 8, "--frames", 4,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert run.returncode == 0, run.stderr
+    assert out.read_bytes() == (
+        b"seed 0: max relative error 5.066e-07\n"
+        b"seed 1: max relative error 1.838e-06\n"
+        b"seed 2: max relative error 1.640e-06\n"
+        b"max relative error 1.838e-06\n"
+    )
 
 
 def test_grad_check_fails_on_a_nan_error(capsys, monkeypatch):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from safa.model import (
     fuse_sources,
     parameter_shapes,
 )
-from safa.tensor import Tensor, check_gradients
+from safa.tensor import NumericError, Tensor, check_gradients
 from safa.training import Schedule, TrainConfig, make_batches, train
 
 
@@ -369,10 +372,38 @@ def test_fuse_sources_ignores_every_parameter_it_does_not_read():
                 assert out.data.tobytes() == ref.data.tobytes(), (name, i)
 
 
+def test_the_loss_ignores_every_parameter_neither_half_reads():
+    cfg, params, batch, feats = _gradient_check_inputs(7, 8, 4)
+    recorder = _ReadRecorder(params.tensors)
+    reference = forward_full(batch, feats, ModelParameters(recorder, cfg), cfg)[1].loss.item()
+    unread = [name for name in params.tensors if name not in recorder.read]
+    assert sorted(unread) == ["decoder.0.cross_attn.bk", "decoder.0.self_attn.bk", "encoder.0.self_attn.bk"]
+    assert sum(params[name].data.size for name in unread) == 24
+    for name in unread:
+        flat = params[name].data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + 1.0
+            loss = forward_full(batch, feats, params, cfg)[1].loss.item()
+            flat[i] = orig
+            assert loss == reference, (name, i)
+
+
+def _fork_fails(*_):
+    raise OSError("fork refused")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_gradient_check_fuses_once_for_the_parameters_fusion_does_not_read(monkeypatch):
     # Fusion reads 808 entries: 3 + 2 * 808 full forwards, plus the one recording fusion.
-    # It does not read 1040: 3 + 2 * 1040 tails on the fused sources. Each check's 3 are
-    # two determinism calls and one taped call; one check of forward_full makes 3 + 2 * 1848.
+    # The tail reads 1016 of the other 1040: one tail records its reads, then 3 + 2 * 1016
+    # tails on the fused sources. Each check's 3 are two determinism calls and one taped
+    # call; one check of forward_full makes 3 + 2 * 1848. The tail runs in a forked child,
+    # whose calls this process does not see; without fork it runs here.
     calls = {"fuse_sources": 0, "decode": 0}
 
     def counting(module, name):
@@ -387,8 +418,76 @@ def test_gradient_check_fuses_once_for_the_parameters_fusion_does_not_read(monke
     counting(model, "fuse_sources")
     counting(evaluation, "fuse_sources")
     counting(model, "decode")
-    assert gradient_check_full_loss(7, d_model=8, frames=4) < 1e-3
-    assert calls == {"fuse_sources": 1620, "decode": 3702}
+    forked = gradient_check_full_loss(7, d_model=8, frames=4)
+    assert forked < 1e-3
+    assert calls == {"fuse_sources": 1620, "decode": 1619}
+    _assert_no_child_left()
+    calls.update(fuse_sources=0, decode=0)
+    monkeypatch.setattr(os, "fork", _fork_fails)
+    assert repr(gradient_check_full_loss(7, d_model=8, frames=4)) == repr(forked)
+    assert calls == {"fuse_sources": 1620, "decode": 3655}
+
+
+def test_gradient_check_without_fork_equals_one_check_of_forward_full(monkeypatch):
+    cfg, params, batch, feats = _gradient_check_inputs(0, 8, 4)
+
+    def fn(tensors):
+        return forward_full(batch, feats, ModelParameters(tensors, cfg), cfg)[1].loss
+
+    oracle = repr(check_gradients(fn, params.tensors, epsilon=1e-4))
+    monkeypatch.setattr(os, "fork", _fork_fails)
+    assert repr(gradient_check_full_loss(0, d_model=8, frames=4)) == oracle
+    monkeypatch.delattr(os, "fork")
+    assert repr(gradient_check_full_loss(0, d_model=8, frames=4)) == oracle
+
+
+def _constant_loss(*_):
+    return None, SimpleNamespace(loss=Tensor(0.0))
+
+
+def _raise(error):
+    def raising(*_):
+        raise error
+
+    return raising
+
+
+def test_gradient_check_raises_the_forked_tail_error(monkeypatch):
+    # the fusion half reads a constant loss, so only the tail can fail
+    monkeypatch.setattr(evaluation, "forward_full", _constant_loss)
+    monkeypatch.setattr(evaluation, "decode_losses", _raise(NumericError("tail: non-finite values")))
+    with pytest.raises(NumericError, match="^tail: non-finite values$"):
+        gradient_check_full_loss(0, d_model=8, frames=4)
+    _assert_no_child_left()
+
+
+def test_gradient_check_sends_an_unpicklable_tail_error_as_a_runtime_error(monkeypatch):
+    class Unpicklable(Exception):
+        pass  # defined in a function, so pickle cannot find its class
+
+    monkeypatch.setattr(evaluation, "forward_full", _constant_loss)
+    monkeypatch.setattr(evaluation, "decode_losses", _raise(Unpicklable("no way back")))
+    with pytest.raises(RuntimeError, match="^Unpicklable: no way back$"):
+        gradient_check_full_loss(0, d_model=8, frames=4)
+    _assert_no_child_left()
+
+
+def test_gradient_check_raises_the_fusion_error_first_and_kills_the_tail(monkeypatch):
+    monkeypatch.setattr(evaluation, "forward_full", _raise(ValueError("fusion failed")))
+    monkeypatch.setattr(evaluation, "decode_losses", lambda *_: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^fusion failed$"):
+        gradient_check_full_loss(0, d_model=8, frames=4)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_gradient_check_names_the_status_of_a_tail_that_ends_without_a_result(monkeypatch):
+    monkeypatch.setattr(evaluation, "forward_full", _constant_loss)
+    monkeypatch.setattr(evaluation, "decode_losses", lambda *_: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
+        gradient_check_full_loss(0, d_model=8, frames=4)
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
