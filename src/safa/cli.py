@@ -1,8 +1,8 @@
 """Command-line interface: corpus pipeline, training, decoding, evaluation.
 
 Every subcommand writes a manifest sidecar before its outputs (command
-line, resolved options, seed, input digests, tool version; no timestamps),
-funnels all randomness through --seed, and never mutates its inputs.
+line, resolved options, seed, BLAS threads, input digests, tool version;
+no timestamps), funnels all randomness through --seed, and never mutates its inputs.
 Exit codes: 0 success, 1 input error, 2 internal error. An input error
 that a flag's value causes starts with that flag.
 """
@@ -10,6 +10,7 @@ that a flag's value causes starts with that flag.
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -86,9 +87,14 @@ def _manifest_path(out):
     return out.with_name(out.name + ".manifest.json")
 
 
+# OpenBLAS takes its thread count from the first of these that is set; none set means every core
+_BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def write_manifest(out, args, inputs, resolved=None):
-    """Record the invocation next to ``out`` before any output is written."""
-    snapshot = {}
+    """Record the invocation and the BLAS thread setting next to ``out`` before any output is written."""
+    threads = next((os.environ[name] for name in _BLAS_THREAD_ENV if name in os.environ), None)
+    snapshot = {"threads": int(threads) if threads is not None and threads.isdecimal() else threads}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "argv"):
             continue
@@ -109,11 +115,17 @@ def write_manifest(out, args, inputs, resolved=None):
         f.write("\n")
 
 
-def _load_features_dir(directory, video_ids):
-    directory = Path(directory)
+def _load_features_dir(directory, video_ids, shape=None, shape_source=None):
+    """{id: clip} of ``<directory>/<id>.evaf``, each of ``shape`` from ``shape_source``, else the first clip's."""
     features = {}
     for vid in video_ids:
-        features[vid] = load_video_features(directory / f"{vid}.evaf")
+        path = Path(directory) / f"{vid}.evaf"
+        clip = load_video_features(path)
+        if shape is None:
+            shape, shape_source = clip.shape, path
+        elif clip.shape != shape:
+            raise ValueError(f"{path}: (frames, dim) is {clip.shape}, but {shape_source} has {shape}")
+        features[vid] = clip
     return features
 
 
@@ -458,14 +470,8 @@ def _load_model(args):
     src_vocab = _load_vocab(args.src_vocab, "src_vocab_size", cfg.src_vocab_size, args.model_config)
     tgt_vocab = _load_vocab(args.tgt_vocab, "tgt_vocab_size", cfg.tgt_vocab_size, args.model_config)
     params = ModelParameters.load(args.checkpoint, cfg)
-    features = _load_features_dir(args.features, sorted({r.video_id for r in records}))
-    expected = (cfg.frames_per_clip, cfg.video_feature_dim)
-    for vid, clip in features.items():
-        if clip.shape != expected:
-            raise ValueError(
-                f"{args.model_config}: (frames_per_clip, video_feature_dim) is {expected}, "
-                f"but clip {vid!r} has (frames, dim) {clip.shape}"
-            )
+    features = _load_features_dir(args.features, sorted({r.video_id for r in records}),
+                                  (cfg.frames_per_clip, cfg.video_feature_dim), args.model_config)
     write_manifest(args.out, args, [args.corpus, args.checkpoint, args.model_config,
                                     args.src_vocab, args.tgt_vocab])
     src, mask = pad_rows([src_vocab.encode(r.source_text) for r in records])
@@ -543,9 +549,6 @@ def _add_model_inputs(parser):
 
 def _common(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="only recorded in the run manifest; BLAS threads follow "
-                             "OPENBLAS_NUM_THREADS")
 
 
 def build_parser():

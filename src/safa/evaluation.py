@@ -1,6 +1,5 @@
 """Decoding, corpus BLEU, ablation runs, and frame-attention export."""
 
-import json
 import math
 import os
 import pickle
@@ -9,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, _utf8_named, build_vocabulary, pad_rows
+from .corpus import BOS_ID, EOS_ID, _utf8_named, build_vocabulary, pad_rows, write_jsonl
 from .model import (
     DecoderCache,
     ModelConfig,
@@ -369,7 +368,7 @@ def _forked(fn):
     return wait
 
 
-def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
+def gradient_check_full_loss(seed, d_model=8, frames=4):
     """Finite-difference check of the composed loss on one random tiny batch.
 
     A parameter ``fuse_sources`` does not read cannot change the fused
@@ -386,7 +385,7 @@ def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
     """
     cfg, params, batch, feats = _gradient_check_inputs(seed, d_model, frames)
     recorder = _ReadRecorder(params.tensors)
-    recorded = ModelParameters(recorder, cfg)
+    recorded = ModelParameters(recorder)
     fused, frame_attention, _gate = fuse_sources(batch, feats, recorded, cfg)
     fused, frame_attention = Tensor(fused.data), Tensor(frame_attention.data)
     fusion = {name: t for name, t in params.items() if name in recorder.read}
@@ -401,11 +400,11 @@ def gradient_check_full_loss(seed, d_model=8, frames=4, epsilon=1e-4):
     def tail_error():
         decode_losses(fused, frame_attention, batch, feats, recorded, cfg)
         rest = {name: t for name, t in params.items() if name in recorder.read and name not in fusion}
-        return check_gradients(tail, rest, epsilon=epsilon)
+        return check_gradients(tail, rest)
 
     wait = _forked(tail_error)
     try:
-        fusion_error = check_gradients(full, fusion, epsilon=epsilon)
+        fusion_error = check_gradients(full, fusion)
     except BaseException:
         wait(kill=True)
         raise
@@ -522,16 +521,8 @@ def export_attention(params, cfg, src, src_mask, features, src_vocab, path):
     the encoder and the frame attention run: no target is needed.
     """
     _, frame_attention = _fuse_sources(src, src_mask, features, params, cfg)
-    attention = frame_attention.data
-    with open(path, "w", encoding="utf-8") as f:
-        for i in range(src.shape[0]):
-            keep = src_mask[i]
-            rows = attention[i][keep]
-            tokens = [src_vocab.tokens[t] for t in src[i][keep]]
-            record = {
-                "source_tokens": tokens,
-                "frames": int(attention.shape[-1]),
-                "weights": [[float(w) for w in row] for row in rows],
-                "frame_aggregate": [float(w) for w in rows.mean(axis=0)],
-            }
-            f.write(json.dumps(record) + "\n")
+    frames = frame_attention.shape[-1]
+    kept = ((ids[keep], rows[keep]) for ids, keep, rows in zip(src, src_mask, frame_attention.data))
+    write_jsonl(path, ({"source_tokens": [src_vocab.tokens[t] for t in ids], "frames": frames,
+                        "weights": rows.tolist(), "frame_aggregate": rows.mean(axis=0).tolist()}
+                       for ids, rows in kept))

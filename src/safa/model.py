@@ -216,9 +216,8 @@ def parameter_shapes(cfg):
 class ModelParameters:
     """Named trainable tensors; creation is fully determined by (config, seed)."""
 
-    def __init__(self, tensors, config):
+    def __init__(self, tensors):
         self.tensors = tensors
-        self.config = config
 
     @classmethod
     def build(cls, config, seed=0):
@@ -233,7 +232,7 @@ class ModelParameters:
             else:
                 data = np.zeros(shape)
             tensors[name] = Tensor(data, requires_grad=True)
-        return cls(tensors, config)
+        return cls(tensors)
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -245,7 +244,7 @@ class ModelParameters:
         clone = {
             name: Tensor(t.data.copy(), requires_grad=True) for name, t in self.tensors.items()
         }
-        return ModelParameters(clone, self.config)
+        return ModelParameters(clone)
 
     def save(self, path):
         T.save_checkpoint(path, self.tensors)
@@ -268,7 +267,7 @@ class ModelParameters:
             if not T.all_finite(arrays[name]):
                 raise T.CheckpointError(f"{path}: checkpoint parameter {name!r} has non-finite values")
             tensors[name] = Tensor(arrays[name], requires_grad=True)
-        return cls(tensors, config)
+        return cls(tensors)
 
 
 _POSITION_TABLES = {}  # d_model -> read-only table, grown to the longest length asked for

@@ -44,11 +44,13 @@ def lr_at_step(step, schedule):
     return schedule.lr_peak * math.sqrt(schedule.warmup_steps / step)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-8
+
+
 class AdamState:
     """First/second moment buffers plus the shared step counter."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.98, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params):
         self.step_count = 0
         self.first = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.second = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -82,17 +84,17 @@ def adam_step(params, state, lr, clip_norm=None):
             grads = {name: g * factor for name, g in grads.items()}
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         m = state.first[name]
         v = state.second[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         p.grad = None
 
 

@@ -388,6 +388,23 @@ def test_decode_mixed_frame_counts_names_the_clip(tmp_path, capsys):
     assert odd in err and "(5, 4)" in err
 
 
+def test_train_mixed_frame_counts_names_the_file_before_the_manifest(tmp_path, capsys):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 20, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    odd = synth_dir / "features" / "synth-00003.evaf"
+    save_video_features(odd, np.zeros((5, 4)))
+    capsys.readouterr()
+    ckpt = tmp_path / "m.ckpt"
+    assert _run("train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+                "--features", synth_dir / "features", "--out", ckpt, "--vocab-min-count", 1,
+                "--max-steps", 1, "--encoder-layers", 1, "--decoder-layers", 1, "--d-model", 8,
+                "--d-ffn", 16, "--heads", 2) == 1
+    first = synth_dir / "features" / "synth-00000.evaf"
+    assert capsys.readouterr().err == f"error: {odd}: (frames, dim) is (5, 4), but {first} has (6, 4)\n"
+    assert not (tmp_path / "m.ckpt.manifest.json").exists()
+
+
 def test_decode_config_with_wrong_frames_per_clip_names_the_config(tmp_path, capsys):
     _, decode_args = _train_tiny_model(tmp_path)
     cfg_path = decode_args[decode_args.index("--model-config") + 1]
@@ -847,8 +864,18 @@ def _typed(config):
     return {key: (value, type(value).__name__) for key, value in config.items()}
 
 
+def _set_blas_threads(monkeypatch, **values):
+    """Set exactly the BLAS thread variables given, unsetting the others."""
+    for name in cli._BLAS_THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+
+
 @pytest.mark.parametrize("command", sorted(_MANIFEST_CONFIG))
-def test_manifest_config_keys_per_command(tmp_path, command):
+def test_manifest_config_keys_per_command(tmp_path, monkeypatch, command):
+    # "threads" is the environment's BLAS setting, not a flag
+    _set_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
     argv = [*command.split(), *_MINIMAL_ARGV[command]]
     args = cli.build_parser().parse_args(argv)
     args.argv = argv
@@ -856,6 +883,50 @@ def test_manifest_config_keys_per_command(tmp_path, command):
     config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
     # the types too: model overrides keep ModelConfig's field types ("3" is read as 3.0)
     assert _typed(config) == _typed(_MANIFEST_CONFIG[command])
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, None),
+    ({"OMP_NUM_THREADS": "3"}, 3),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "4", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "auto"}, "auto"),
+], ids=["unset", "omp", "goto-over-omp", "openblas-first", "not-decimal"])
+def test_manifest_threads_follow_openblas_order(tmp_path, monkeypatch, env, threads):
+    _set_blas_threads(monkeypatch, **env)
+    argv = ["grad-check"]
+    args = cli.build_parser().parse_args(argv)
+    args.argv = argv
+    cli.write_manifest(tmp_path / "out", args, [])
+    assert json.loads((tmp_path / "out.manifest.json").read_text())["config"]["threads"] == threads
+
+
+@pytest.mark.parametrize("argv", [["train", "--train", "t", "--val", "v", "--features", "f", "--out", "o"],
+                                  ["pipeline", "vocab", "--in", "c", "--out", "o", "--side", "source"]],
+                         ids=["train", "pipeline-vocab"])
+def test_threads_is_no_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "--threads", 2)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "unrecognized arguments: --threads 2" in err
+
+
+def test_manifest_records_the_blas_threads_a_run_uses(tmp_path, monkeypatch):
+    # OpenBLAS reads its thread count when numpy loads, so each run is its own process
+    def synth_manifest(run, threads):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        (tmp_path / run).mkdir()
+        done = _safa_process("synth", "--out-dir", "d", "--n-train", 6, "--n-val", 2, "--n-test", 2,
+                             "--frames", 3, "--feature-dim", 2, cwd=tmp_path / run, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return (tmp_path / run / "d" / "dataset.manifest.json").read_bytes()
+
+    first, again, other = synth_manifest("a", "1"), synth_manifest("b", "1"), synth_manifest("c", "2")
+    assert first == again
+    one, two = json.loads(first), json.loads(other)
+    assert (one["config"].pop("threads"), two["config"].pop("threads")) == (1, 2)
+    assert one == two
 
 
 with mock.patch.object(cli, "_add_field_flags", wraps=cli._add_field_flags) as _spy:

@@ -345,7 +345,7 @@ def test_gradient_check_equals_one_check_of_forward_full(seed):
     cfg, params, batch, feats = _gradient_check_inputs(seed, 8, 4)
 
     def fn(tensors):
-        return forward_full(batch, feats, ModelParameters(tensors, cfg), cfg)[1].loss
+        return forward_full(batch, feats, ModelParameters(tensors), cfg)[1].loss
 
     oracle = check_gradients(fn, params.tensors, epsilon=1e-4)
     assert repr(gradient_check_full_loss(seed, d_model=8, frames=4)) == repr(oracle)
@@ -354,7 +354,7 @@ def test_gradient_check_equals_one_check_of_forward_full(seed):
 def test_fuse_sources_ignores_every_parameter_it_does_not_read():
     cfg, params, batch, feats = _gradient_check_inputs(7, 8, 4)
     recorder = _ReadRecorder(params.tensors)
-    reference = fuse_sources(batch, feats, ModelParameters(recorder, cfg), cfg)
+    reference = fuse_sources(batch, feats, ModelParameters(recorder), cfg)
     unread = [name for name in params.tensors if name not in recorder.read]
     decoder = [name for name in parameter_shapes(cfg) if name.startswith("decoder.")]
     # the key bias is read by nothing: softmax over the keys is unchanged by it
@@ -375,7 +375,7 @@ def test_fuse_sources_ignores_every_parameter_it_does_not_read():
 def test_the_loss_ignores_every_parameter_neither_half_reads():
     cfg, params, batch, feats = _gradient_check_inputs(7, 8, 4)
     recorder = _ReadRecorder(params.tensors)
-    reference = forward_full(batch, feats, ModelParameters(recorder, cfg), cfg)[1].loss.item()
+    reference = forward_full(batch, feats, ModelParameters(recorder), cfg)[1].loss.item()
     unread = [name for name in params.tensors if name not in recorder.read]
     assert sorted(unread) == ["decoder.0.cross_attn.bk", "decoder.0.self_attn.bk", "encoder.0.self_attn.bk"]
     assert sum(params[name].data.size for name in unread) == 24
@@ -432,7 +432,7 @@ def test_gradient_check_without_fork_equals_one_check_of_forward_full(monkeypatc
     cfg, params, batch, feats = _gradient_check_inputs(0, 8, 4)
 
     def fn(tensors):
-        return forward_full(batch, feats, ModelParameters(tensors, cfg), cfg)[1].loss
+        return forward_full(batch, feats, ModelParameters(tensors), cfg)[1].loss
 
     oracle = repr(check_gradients(fn, params.tensors, epsilon=1e-4))
     monkeypatch.setattr(os, "fork", _fork_fails)
@@ -557,11 +557,15 @@ def _export_setup(frames):
 
 def test_export_attention_rows_and_bit_equality(tmp_path):
     cfg, params, batch, feats = _export_setup(frames=5)
-    src_vocab = type("V", (), {"tokens": [f"tok{i}" for i in range(9)]})()
+    src_vocab = type("V", (), {"tokens": [f"語{i}" for i in range(9)]})()
     path = tmp_path / "attn.jsonl"
     export_attention(params, cfg, batch.src, batch.src_mask, feats, src_vocab, path)
     dump = _read_attention_dump(path)
     assert len(dump) == 2
+    # written like every other JSONL output: keys sorted, tokens as UTF-8 text
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(record, sort_keys=True, ensure_ascii=False) for record in dump]
+    assert dump[0]["source_tokens"] == [src_vocab.tokens[t] for t in batch.src[0][:3]]
     assert len(dump[0]["weights"]) == 3  # padding token dropped
     assert len(dump[1]["weights"]) == 4
     output, _ = forward_full(batch, feats, params, cfg)

@@ -677,7 +677,7 @@ def test_forward_full_gradients_match_finite_differences():
     feats = make_features(rng, cfg)
 
     def fn(params):
-        _, breakdown = forward_full(batch, feats, ModelParameters(params, cfg), cfg)
+        _, breakdown = forward_full(batch, feats, ModelParameters(params), cfg)
         return breakdown.loss
 
     err = check_gradients(fn, p.tensors, epsilon=1e-4)
