@@ -1,8 +1,11 @@
 """Command-line interface: corpus pipeline, training, decoding, evaluation.
 
-Every subcommand writes a manifest sidecar before its outputs (command
-line, resolved options, seed, BLAS threads, input digests, tool version;
-no timestamps), funnels all randomness through --seed, and never mutates its inputs.
+Every subcommand but ``bleu`` writes a manifest sidecar before its outputs
+(command line, resolved options, seed, BLAS threads, input digests, tool
+version; no timestamps), and none mutates its inputs. The commands with
+randomness (``synth``, ``train``, ``ablate``, ``grad-check`` and ``pipeline
+splits``) take all of it from --seed; the other pipeline stages accept
+--seed and ignore it, and ``decode``, ``attn-dump`` and ``bleu`` have none.
 Exit codes: 0 success, 1 input error, 2 internal error. An input error
 that a flag's value causes starts with that flag.
 """
@@ -10,7 +13,6 @@ that a flag's value causes starts with that flag.
 import argparse
 import hashlib
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -59,6 +61,7 @@ from .model import ModelConfig, ModelParameters, VideoFeatureBatch
 from .training import (
     Schedule,
     TrainConfig,
+    blas_threads,
     make_batches,
     synthetic_splits,
     train,
@@ -87,14 +90,9 @@ def _manifest_path(out):
     return out.with_name(out.name + ".manifest.json")
 
 
-# OpenBLAS takes its thread count from the first of these that is set; none set means every core
-_BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def write_manifest(out, args, inputs, resolved=None):
     """Record the invocation and the BLAS thread setting next to ``out`` before any output is written."""
-    threads = next((os.environ[name] for name in _BLAS_THREAD_ENV if name in os.environ), None)
-    snapshot = {"threads": int(threads) if threads is not None and threads.isdecimal() else threads}
+    snapshot = {"threads": blas_threads()}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "argv"):
             continue
@@ -104,10 +102,11 @@ def write_manifest(out, args, inputs, resolved=None):
     manifest = {
         "command": args.argv,
         "config": snapshot,
-        "seed": getattr(args, "seed", 0),
         "inputs": {str(p): _digest(p) for p in inputs},
         "version": __version__,
     }
+    if "seed" in snapshot:  # a command without randomness has no --seed
+        manifest["seed"] = snapshot["seed"]
     path = _manifest_path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
@@ -633,13 +632,11 @@ def build_parser():
     p = sub.add_parser("decode", help="beam-decode a corpus")
     _add_model_inputs(p)
     _add_field_flags(p, DecodeConfig, ("beam_size", "max_length", "length_penalty"))
-    _common(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against a reference file")
     p.add_argument("--hyp", type=Path, required=True)
     p.add_argument("--ref", type=Path, required=True)
-    _common(p)
     p.set_defaults(func=cmd_bleu)
 
     p = sub.add_parser("ablate", help="synthetic-task ablation table")
@@ -652,7 +649,6 @@ def build_parser():
 
     p = sub.add_parser("attn-dump", help="export per-token frame attention")
     _add_model_inputs(p)
-    _common(p)
     p.set_defaults(func=cmd_attn_dump)
 
     p = sub.add_parser("grad-check", help="finite-difference check of the full loss")

@@ -10,6 +10,7 @@ group reweighting of possibly-ambiguous samples.
 import functools
 import math
 from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +124,11 @@ class TextBatch:
     def size(self):
         return self.src.shape[0]
 
+    def rows(self, index):
+        """The batch of the rows the slice ``index`` selects."""
+        return TextBatch(self.src[index], self.src_mask[index], self.tgt[index], self.tgt_mask[index],
+                         self.flags[index])
+
 
 @dataclass
 class VideoFeatureBatch:
@@ -154,12 +160,30 @@ class ModelOutput:
     gate: Tensor              # (B, S, d_model)
 
 
+class LossNormalizers(NamedTuple):
+    """The whole batch's counts that divide each sample's share of the loss.
+
+    A step that runs a batch's rows in parts hands every part the whole
+    batch's counts, so that the parts' losses and gradients sum to the batch's.
+    """
+
+    rows: int
+    ambiguous: int
+    unambiguous: int
+
+    @classmethod
+    def of(cls, flags):
+        flags = np.asarray(flags, dtype=bool)
+        ambiguous = int(flags.sum())
+        return cls(flags.size, ambiguous, int(flags.size - ambiguous))
+
+
 @dataclass
 class BatchLossBreakdown:
     translation_loss: float   # group-weighted translation term
     frame_loss: float         # KL toward the Gaussian frame target, in nats
     total: float
-    ambiguous_count: int
+    ambiguous_count: int      # the normalizers' counts: the whole batch's
     unambiguous_count: int
     loss: Tensor              # differentiable total, for backward
 
@@ -270,6 +294,11 @@ class ModelParameters:
         return cls(tensors)
 
 
+# The two threads of a split training step may grow this cache and
+# _CAUSAL_MASKS at once. Each entry is stored complete and never written
+# again. Racing threads may store tables of different lengths here (equal
+# masks there); each caller returns its own table, and a shorter stored
+# table is only regrown later.
 _POSITION_TABLES = {}  # d_model -> read-only table, grown to the longest length asked for
 
 
@@ -531,43 +560,47 @@ def gaussian_target(frames, halfwidth, mean, std, temperature):
     return target
 
 
-def frame_attention_loss(frame_attention, target, mask):
-    """Mean KL(attention row || target) in nats over unmasked tokens, then batch."""
+def frame_attention_loss(frame_attention, target, mask, norms=None):
+    """Mean KL(attention row || target) in nats over unmasked tokens, then over the batch's rows.
+
+    The rows counted are ``norms.rows`` when ``norms`` is given, else the B of ``mask``.
+    """
     kl = T.kl_divergence(frame_attention, target)  # (B, S)
-    return T.weighted_sum(kl, _mean_weights(mask, "source") / mask.shape[0])
+    return T.weighted_sum(kl, _mean_weights(mask, "source") / (mask.shape[0] if norms is None else norms.rows))
 
 
-def total_loss(per_sample_losses, flags, frame_loss, cfg):
+def total_loss(per_sample_losses, flags, frame_loss, cfg, norms=None):
     """Combine group-weighted translation losses with the frame-attention term.
 
     The possibly-ambiguous group's mean is multiplied by ambiguity_weight: a
     sample weighs ambiguity_weight / n_ambiguous if flagged, 1 / n_unambiguous
     if not. With no flagged samples the translation term is the batch mean.
+    The group sizes are ``norms``' counts, by default those of ``flags``.
     """
     flags = np.asarray(flags, dtype=bool)
     if flags.shape != per_sample_losses.data.shape:
         raise T.ShapeError(
             f"flags shape {flags.shape} != per-sample losses shape {per_sample_losses.data.shape}"
         )
-    ambiguous = int(flags.sum())
-    unambiguous = int(flags.size - ambiguous)
-    weights = np.where(flags, cfg.ambiguity_weight, 1.0) / np.where(flags, ambiguous, unambiguous)
+    norms = norms or LossNormalizers.of(flags)
+    weights = np.where(flags, cfg.ambiguity_weight, 1.0) / np.where(flags, norms.ambiguous, norms.unambiguous)
     translation = T.weighted_sum(per_sample_losses, weights)
     total = T.add(translation, T.scale(frame_loss, cfg.frame_loss_weight))
     return BatchLossBreakdown(
         translation_loss=translation.item(),
         frame_loss=frame_loss.item(),
         total=total.item(),
-        ambiguous_count=ambiguous,
-        unambiguous_count=unambiguous,
+        ambiguous_count=norms.ambiguous,
+        unambiguous_count=norms.unambiguous,
         loss=total,
     )
 
 
-def decode_losses(fused, frame_attention, batch, features, p, cfg, training=False, rng=None):
+def decode_losses(fused, frame_attention, batch, features, p, cfg, training=False, rng=None, norms=None):
     """The forward after fusion: decode the fused sources and score both losses.
 
-    Returns (logits, breakdown).
+    ``norms`` are the counts that divide the losses (``LossNormalizers``),
+    by default the batch's own. Returns (logits, breakdown).
     """
     logits = decode(
         fused, batch.tgt[:, :-1], batch.tgt_mask[:, :-1], batch.src_mask, p, cfg, training, rng
@@ -582,14 +615,14 @@ def decode_losses(fused, frame_attention, batch, features, p, cfg, training=Fals
         cfg.gaussian_std,
         cfg.temperature,
     )
-    frame_loss = frame_attention_loss(frame_attention, target, batch.src_mask)
-    return logits, total_loss(per_sample, batch.flags, frame_loss, cfg)
+    frame_loss = frame_attention_loss(frame_attention, target, batch.src_mask, norms)
+    return logits, total_loss(per_sample, batch.flags, frame_loss, cfg, norms)
 
 
-def forward_full(batch, features, p, cfg, training=False, rng=None):
+def forward_full(batch, features, p, cfg, training=False, rng=None, norms=None):
     """Full forward pass: ``fuse_sources``, then ``decode_losses``."""
     if training and cfg.dropout > 0 and rng is None:
         raise ValueError("training mode with dropout needs an rng")
     fused, frame_attention, gate = fuse_sources(batch, features, p, cfg, training, rng)
-    logits, breakdown = decode_losses(fused, frame_attention, batch, features, p, cfg, training, rng)
+    logits, breakdown = decode_losses(fused, frame_attention, batch, features, p, cfg, training, rng, norms)
     return ModelOutput(logits=logits, frame_attention=frame_attention, gate=gate), breakdown

@@ -98,7 +98,9 @@ class Tape:
     entry's backward closure.
 
     The active-tape stack is thread-local: independent recordings may run
-    on separate threads, but one tape never spans threads.
+    on separate threads, but one tape never spans threads. A split training
+    step records its two row halves so, one tape on each of two threads,
+    each over its own ``Tensor``s of the shared parameter arrays.
     """
 
     def __init__(self):

@@ -1,18 +1,26 @@
 """Optimizer, schedule, batching, training loop, and synthetic data.
 
-Training is strictly sequential and fully determined by the seed: dropout
-masks come from one counter-based Philox stream, epoch shuffles from a
-second, so two runs with the same seed produce bit-identical parameters.
+Steps run one after another. A batch of at least ``2 * SPLIT_MIN_ROWS``
+rows runs as two row halves; under one BLAS thread the second runs on a
+worker thread while the first runs, so that the step uses two CPUs, and
+otherwise right after the first. Dropout masks come from two counter-based
+Philox streams, one for whole batches and first halves, one for second
+halves; epoch shuffles come from a third. So the seed determines a run: two
+runs with the same seed and BLAS thread setting produce bit-identical
+parameters, and runs at other settings differ only in BLAS's rounding.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, SubtitleRecord, pad_rows
-from .model import TextBatch, VideoFeatureBatch, forward_full
-from .tensor import Tape, all_finite
+from .model import LossNormalizers, ModelParameters, TextBatch, VideoFeatureBatch, forward_full
+from .tensor import Tape, Tensor, _accumulate, all_finite
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -179,6 +187,92 @@ def evaluate_loss(params, cfg, batches, features):
     return total / count
 
 
+# OpenBLAS takes its thread count from the first of these that is set; none set means every core
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_threads():
+    """The BLAS thread setting of the environment: an int when decimal, None when unset (every core).
+
+    It is read from ``os.environ`` at each call. OpenBLAS read its own
+    setting once, when numpy loaded, so a variable set later, a threadpool
+    limit set in-process, or a numpy built on another BLAS can make this
+    differ from the threads BLAS really uses.
+    """
+    threads = next((os.environ[name] for name in BLAS_THREAD_ENV if name in os.environ), None)
+    return int(threads) if threads is not None and threads.isdecimal() else threads
+
+
+# A batch splits into two row halves when each holds at least this many rows.
+# It is a constant, not a function of the machine, because the split changes
+# the trained numbers; README has the timings it rests on.
+SPLIT_MIN_ROWS = 128
+
+
+def _backward(text, video_ids, features, params, cfg, rng, norms=None):
+    """Forward and backward of one batch's rows; the gradients land on ``params``. Returns the breakdown."""
+    with Tape() as tape:
+        _, breakdown = forward_full(
+            text, VideoFeatureBatch.stack(video_ids, features), params, cfg,
+            training=True, rng=rng, norms=norms,
+        )
+        tape.backward(breakdown.loss)
+    return breakdown
+
+
+def _outcome(fn, *args):
+    """``(True, fn(*args))``, or ``(False, the exception it raised)`` for the caller to raise."""
+    try:
+        return True, fn(*args)
+    except BaseException as exc:
+        return False, exc
+
+
+def _step_backward(batch, features, params, cfg, rngs, threaded):
+    """Forward and backward of one training batch; returns its (total, translation, frame) losses.
+
+    Below ``2 * SPLIT_MIN_ROWS`` rows the batch is one ``_backward`` with
+    ``rngs[0]``. Otherwise it runs as two row halves, both dividing by the
+    whole batch's counts, so that their losses and gradients sum to the
+    batch's. The first half runs with ``rngs[0]`` on ``params``; the second
+    with ``rngs[1]`` on its own tensors over the same parameter arrays, and
+    its gradients are then added to the first's. ``threaded`` only says
+    where the second half runs: on a worker thread while this thread runs
+    the first, or on this thread after it. A half's numbers do not depend
+    on the thread that runs it, so both give the same result. The worker
+    runs in a copy of this thread's context, which holds numpy's error
+    state. It is joined before any error leaves, and the first half's error
+    is the one raised when both fail.
+    """
+    text, video_ids, half = batch.text, batch.video_ids, batch.text.size // 2
+    if half < SPLIT_MIN_ROWS:
+        whole = _backward(text, video_ids, features, params, cfg, rngs[0])
+        return whole.total, whole.translation_loss, whole.frame_loss
+    norms = LossNormalizers.of(text.flags)
+    own = ModelParameters({name: Tensor(t.data, requires_grad=True) for name, t in params.items()})
+    first_args = (text.rows(slice(half)), video_ids[:half], features, params, cfg, rngs[0], norms)
+    second_args = (text.rows(slice(half, None)), video_ids[half:], features, own, cfg, rngs[1], norms)
+    if threaded:
+        context, outcome = contextvars.copy_context(), []
+        worker = threading.Thread(target=lambda: outcome.append(_outcome(context.run, _backward, *second_args)))
+        worker.start()
+        try:
+            first = _backward(*first_args)
+        finally:
+            worker.join()
+        done, second = outcome[0]
+        if not done:
+            raise second
+    else:
+        first = _backward(*first_args)
+        second = _backward(*second_args)
+    for name, t in own.items():
+        if t.grad is not None:
+            _accumulate(params[name], t.grad)
+    return (first.total + second.total, first.translation_loss + second.translation_loss,
+            first.frame_loss + second.frame_loss)
+
+
 @dataclass
 class TrainResult:
     params: object            # best-validation parameters
@@ -205,8 +299,12 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     if not val_batches:
         raise ValueError("validation set must be non-empty")
     tc = train_config
-    dropout_rng = np.random.Generator(np.random.Philox(tc.seed))
+    # the second dropout stream serves only the second half of a split batch
+    dropout_rngs = (np.random.Generator(np.random.Philox(tc.seed)),
+                    np.random.Generator(np.random.Philox([tc.seed, 3])))
     order_rng = np.random.Generator(np.random.Philox([tc.seed, 1]))
+    # two threads pay only under one BLAS thread: with more, the halves' BLAS threads oversubscribe the CPUs
+    threaded = blas_threads() == 1
     state = AdamState(params)
     metrics = []
     best = params.copy()
@@ -221,13 +319,8 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
             step += 1
             lr = lr_at_step(step, tc.schedule)
             try:
-                with Tape() as tape:
-                    _, breakdown = forward_full(
-                        batch.text, VideoFeatureBatch.stack(batch.video_ids, features), params, cfg,
-                        training=True, rng=dropout_rng,
-                    )
-                    tape.backward(breakdown.loss)
-                if not math.isfinite(breakdown.total):
+                total, translation, frame = _step_backward(batch, features, params, cfg, dropout_rngs, threaded)
+                if not math.isfinite(total):
                     raise NonFiniteGradientError("training loss is not finite")
                 adam_step(params, state, lr, tc.clip_norm)
             except ArithmeticError as exc:  # non-finite values or gradients
@@ -239,9 +332,9 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
                 {
                     "step": step,
                     "lr": lr,
-                    "train_loss": breakdown.total,
-                    "translation_loss": breakdown.translation_loss,
-                    "frame_loss": breakdown.frame_loss,
+                    "train_loss": total,
+                    "translation_loss": translation,
+                    "frame_loss": frame,
                     "val_loss": None,
                 }
             )

@@ -15,8 +15,9 @@ import pytest
 from safa import cli
 from safa.corpus import AmbiguitySelectionConfig, load_video_features, save_video_features
 from safa.evaluation import DecodeConfig
+from safa.model import ModelConfig, ModelParameters
 from safa.tensor import load_checkpoint, save_checkpoint
-from safa.training import Schedule, TrainConfig, synthetic_splits
+from safa.training import BLAS_THREAD_ENV, Schedule, TrainConfig, synthetic_splits
 
 
 CORPUS = """\
@@ -374,6 +375,48 @@ def _train_tiny_model(tmp_path):
         "--tgt-vocab", tmp_path / "model.ckpt.tgt-vocab.txt", "--out", tmp_path / "hyps.txt",
     ]
     return synth_dir, decode_args
+
+
+def _train_argv(synth_dir, out, *extra):
+    """``safa train`` on a ``safa synth`` directory: a 1+1-layer, d_model 8 model."""
+    return ["train", "--train", synth_dir / "train.jsonl", "--val", synth_dir / "validation.jsonl",
+            "--features", synth_dir / "features", "--out", out, "--vocab-min-count", 1,
+            "--encoder-layers", 1, "--decoder-layers", 1, "--d-model", 8, "--d-ffn", 16, "--heads", 2,
+            "--seed", 3, *extra]
+
+
+def test_train_checkpoint_every_writes_loadable_step_checkpoints(tmp_path):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 8, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    ckpt = tmp_path / "model.ckpt"
+    assert _run(*_train_argv(synth_dir, ckpt, "--max-steps", 5, "--checkpoint-every", 2)) == 0
+    steps = sorted(p.name for p in tmp_path.glob("model.ckpt.step*"))
+    assert steps == ["model.ckpt.step000002", "model.ckpt.step000004"]
+    cfg = ModelConfig.from_text((tmp_path / "model.ckpt.cfg").read_text(encoding="utf-8"))
+    loaded = [ModelParameters.load(tmp_path / name, cfg) for name in steps]
+    # the live parameters moved between the two saves
+    assert any(not np.array_equal(t.data, loaded[1][name].data) for name, t in loaded[0].items())
+
+
+def test_train_uses_the_given_vocabularies(tmp_path, capsys):
+    synth_dir, _ = _train_tiny_model(tmp_path)
+    src_vocab = tmp_path / "model.ckpt.src-vocab.txt"
+    tgt_vocab = tmp_path / "given.tgt-vocab.txt"
+    built = (tmp_path / "model.ckpt.tgt-vocab.txt").read_text(encoding="utf-8")
+    tgt_vocab.write_text(built + "unseen\n", encoding="utf-8")
+    out = tmp_path / "given.ckpt"
+    capsys.readouterr()
+    assert _run(*_train_argv(synth_dir, out, "--max-steps", 1,
+                             "--src-vocab", src_vocab, "--tgt-vocab", tgt_vocab)) == 0
+    cfg = ModelConfig.from_text((tmp_path / "given.ckpt.cfg").read_text(encoding="utf-8"))
+    assert cfg.tgt_vocab_size == len(built.splitlines()) + 1
+    assert cfg.src_vocab_size == len(src_vocab.read_text(encoding="utf-8").splitlines())
+    assert ModelParameters.load(out, cfg)["target_embedding"].shape == (cfg.tgt_vocab_size, 8)
+    # given vocabularies are inputs: digested in the manifest, not written again
+    inputs = json.loads((tmp_path / "given.ckpt.manifest.json").read_text())["inputs"]
+    assert {str(src_vocab), str(tgt_vocab)} <= set(inputs)
+    assert not list(tmp_path.glob("given.ckpt.*-vocab.txt"))
 
 
 def test_decode_mixed_frame_counts_names_the_clip(tmp_path, capsys):
@@ -824,7 +867,7 @@ def test_grad_check_without_repeats_exits_one_naming_the_flag(capsys, flag, valu
 
 _DECODE_INPUTS = ["--corpus", "c", "--features", "f", "--checkpoint", "k", "--model-config", "m",
                   "--src-vocab", "s", "--tgt-vocab", "t", "--out", "o"]
-_MODEL_INPUTS = {"checkpoint": "k", "corpus": "c", "features": "f", "model_config": "m", "out": "o", "seed": 0,
+_MODEL_INPUTS = {"checkpoint": "k", "corpus": "c", "features": "f", "model_config": "m", "out": "o",
                  "src_vocab": "s", "tgt_vocab": "t", "threads": 1}
 _DATASET = {"bump": "central", "feature_dim": 16, "frames": 12, "n_test": 200, "n_train": 2000, "n_val": 200,
             "seed": 0, "threads": 1}
@@ -866,7 +909,7 @@ def _typed(config):
 
 def _set_blas_threads(monkeypatch, **values):
     """Set exactly the BLAS thread variables given, unsetting the others."""
-    for name in cli._BLAS_THREAD_ENV:
+    for name in BLAS_THREAD_ENV:
         monkeypatch.delenv(name, raising=False)
     for name, value in values.items():
         monkeypatch.setenv(name, value)
@@ -880,9 +923,11 @@ def test_manifest_config_keys_per_command(tmp_path, monkeypatch, command):
     args = cli.build_parser().parse_args(argv)
     args.argv = argv
     cli.write_manifest(tmp_path / "out", args, [])
-    config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     # the types too: model overrides keep ModelConfig's field types ("3" is read as 3.0)
-    assert _typed(config) == _typed(_MANIFEST_CONFIG[command])
+    assert _typed(manifest["config"]) == _typed(_MANIFEST_CONFIG[command])
+    # a command without randomness takes no --seed, and its manifest names no seed
+    assert manifest.get("seed", "none") == _MANIFEST_CONFIG[command].get("seed", "none")
 
 
 @pytest.mark.parametrize("env, threads", [
@@ -910,6 +955,15 @@ def test_threads_is_no_flag(capsys, argv):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage" in err and "unrecognized arguments: --threads 2" in err
+
+
+@pytest.mark.parametrize("argv", [["decode", *_DECODE_INPUTS], ["attn-dump", *_DECODE_INPUTS],
+                                  ["bleu", "--hyp", "h", "--ref", "r"]], ids=["decode", "attn-dump", "bleu"])
+def test_seed_is_no_flag_where_nothing_is_random(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "--seed", 5)
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_manifest_records_the_blas_threads_a_run_uses(tmp_path, monkeypatch):

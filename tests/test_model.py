@@ -9,6 +9,7 @@ from safa.corpus import CorpusParseError, load_video_features, save_video_featur
 from safa.model import (
     DecoderCache,
     DegenerateSampleError,
+    LossNormalizers,
     ModelConfig,
     ModelParameters,
     TextBatch,
@@ -269,6 +270,13 @@ def test_project_video_identity_zero_and_manual():
     p3.tensors["video_projection"] = Tensor(w, requires_grad=True)
     expected = np.einsum("bmf,fd->bmd", x, w)
     np.testing.assert_allclose(project_video(VideoFeatureBatch(x), p3).data, expected, atol=1e-15)
+
+
+def test_video_feature_batch_stack_names_both_clips_of_a_mismatch():
+    features = {"a": np.zeros((3, 2)), "b": np.zeros((3, 2)), "c": np.zeros((4, 2))}
+    assert VideoFeatureBatch.stack(["a", "b"], features).features.shape == (2, 3, 2)
+    with pytest.raises(ValueError, match=r"clip 'c' has \(frames, dim\) \(4, 2\), but clip 'a' .* \(3, 2\)"):
+        VideoFeatureBatch.stack(["a", "b", "c"], features)
 
 
 def test_project_video_dim_mismatch():
@@ -580,6 +588,26 @@ def test_total_loss_empty_group_contributes_zero():
     flags = np.array([True, True])
     breakdown = total_loss(losses, flags, Tensor(0.0), cfg)
     np.testing.assert_allclose(breakdown.total, 9.0 * 3.0, atol=1e-12)
+
+
+def test_losses_of_row_parts_sum_to_the_batch_loss_with_the_batch_normalizers():
+    cfg = tiny_config(ambiguity_weight=2.0, frame_loss_weight=0.5)
+    rng = np.random.default_rng(3)
+    losses, flags = rng.uniform(size=5), np.array([True, False, False, True, False])
+    attention = rng.dirichlet(np.ones(4), size=(5, 3))
+    mask = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 1, 1], [1, 0, 0]], dtype=bool)
+    target = gaussian_target(4, 3.0, 1.0, 1.0, 1.0)
+
+    def breakdown(rows, norms=None):
+        frame = frame_attention_loss(Tensor(attention[rows]), target, mask[rows], norms)
+        return total_loss(Tensor(losses[rows]), flags[rows], frame, cfg, norms)
+
+    whole = breakdown(slice(None))
+    norms = LossNormalizers.of(flags)
+    parts = [breakdown(slice(None, 2), norms), breakdown(slice(2, None), norms)]
+    for key in ("translation_loss", "frame_loss", "total"):
+        assert sum(getattr(part, key) for part in parts) == pytest.approx(getattr(whole, key), rel=1e-15)
+    assert all((part.ambiguous_count, part.unambiguous_count) == (2, 3) for part in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from safa import training
+from safa import model, training
 from safa.corpus import BOS_ID, EOS_ID, SubtitleRecord, build_vocabulary
-from safa.model import ModelConfig, ModelParameters
+from safa.model import ModelConfig, ModelParameters, VideoFeatureBatch, forward_full
 from safa.tensor import Tape, Tensor, lerp, weighted_sum
 from safa.training import (
+    SPLIT_MIN_ROWS,
     AdamState,
     NonFiniteGradientError,
     Schedule,
@@ -222,6 +225,31 @@ def _tiny_setup(seed=0, n=8, frames=3, feature_dim=2, dropout=0.1):
     return cfg, batches, features
 
 
+def _wide_setup(rows=2 * SPLIT_MIN_ROWS + 1, dropout=0.0, seed=0):
+    """One batch of ``rows`` sentences of 1-6 source and 1-5 target words, a third of them flagged."""
+    rng = np.random.default_rng(seed)
+    records = _records([(" ".join(f"s{w}" for w in rng.integers(0, 9, int(rng.integers(1, 7)))),
+                         " ".join(f"t{w}" for w in rng.integers(0, 9, int(rng.integers(1, 6)))))
+                        for _ in range(rows)])
+    features = {r.video_id: rng.normal(size=(3, 2)) for r in records}
+    flags = {r.id: i % 3 == 0 for i, r in enumerate(records)}
+    src_vocab, tgt_vocab = _vocabs(records)
+    batches, _ = make_batches(records, src_vocab, tgt_vocab, 10 * rows, seed=seed, flags_by_id=flags)
+    cfg = ModelConfig(
+        src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), video_feature_dim=2,
+        encoder_layers=1, decoder_layers=1, d_model=8, d_ffn=16, heads=2, dropout=dropout, frames_per_clip=3,
+    )
+    return cfg, batches, features
+
+
+def _blas_threads(monkeypatch, value):
+    """Set OpenBLAS's thread variable to ``value`` (None unsets it), unsetting the other two."""
+    for name in training.BLAS_THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    if value is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+
+
 def test_train_two_runs_bit_identical():
     cfg, batches, features = _tiny_setup()
     tc = TrainConfig(max_steps=6, seed=4, patience=2, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
@@ -304,6 +332,117 @@ def test_checkpoint_cadence_callback():
     train(ModelParameters.build(cfg, seed=0), cfg, batches, batches[:1], features, tc,
           checkpoint_callback=lambda step, params: seen.append(step))
     assert seen == [3, 6]
+
+
+def test_unsplit_training_is_the_plain_loop():
+    # a batch below 2 * SPLIT_MIN_ROWS rows: one forward, backward and Adam update a step, one Philox stream
+    cfg, batches, features = _tiny_setup()
+    assert len(batches) == 1 and batches[0].text.size == 8
+    tc = TrainConfig(max_steps=3, seed=4, checkpoint_every=3, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
+    live = []
+    result = train(ModelParameters.build(cfg, seed=4), cfg, batches, batches, features, tc,
+                   checkpoint_callback=lambda step, p: live.extend(t.data.tobytes() for _, t in p.items()))
+    params = ModelParameters.build(cfg, seed=4)
+    state, rng, text = AdamState(params), np.random.Generator(np.random.Philox(4)), batches[0].text
+    for step in range(1, 4):
+        with Tape() as tape:
+            _, breakdown = forward_full(text, VideoFeatureBatch.stack(batches[0].video_ids, features), params,
+                                        cfg, training=True, rng=rng)
+            tape.backward(breakdown.loss)
+        assert result.metrics[2 * step - 2]["train_loss"] == breakdown.total
+        adam_step(params, state, lr_at_step(step, tc.schedule), tc.clip_norm)
+    assert live == [t.data.tobytes() for _, t in params.items()]
+
+
+@pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "inline"])
+def test_split_step_equals_the_unsplit_step(threaded):
+    cfg, (batch,), features = _wide_setup()
+    text, half = batch.text, batch.text.size // 2
+    for part in (text.rows(slice(half)), text.rows(slice(half, None))):
+        assert 0 < part.flags.sum() < part.size  # both groups
+        assert not part.src_mask.all() and not part.tgt_mask.all()  # padding on both sides
+    params = ModelParameters.build(cfg, seed=1)
+    rngs = (np.random.Generator(np.random.Philox(0)), np.random.Generator(np.random.Philox(1)))
+    whole = training._backward(text, batch.video_ids, features, params, cfg, rngs[0])
+    grads = {name: t.grad for name, t in params.items()}
+    for _, t in params.items():
+        t.grad = None
+    total, translation, frame = training._step_backward(batch, features, params, cfg, rngs, threaded)
+    assert total == pytest.approx(whole.total, rel=1e-14)
+    assert translation == pytest.approx(whole.translation_loss, rel=1e-14)
+    assert frame == pytest.approx(whole.frame_loss, rel=1e-14)
+    for name, t in params.items():
+        if grads[name] is None:
+            assert t.grad is None, name
+        else:
+            assert np.abs(t.grad - grads[name]).max() <= 1e-12 * np.abs(grads[name]).max(), name
+
+
+def _counting_threads(monkeypatch):
+    """Count the threads started from now on; returns the list they are appended to."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def test_split_training_runs_bit_identical(monkeypatch):
+    # the BLAS setting only says whether the second half runs on a worker thread or after the first
+    cfg, batches, features = _wide_setup(rows=2 * SPLIT_MIN_ROWS, dropout=0.1)
+    tc = TrainConfig(max_steps=3, seed=2, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
+    started = _counting_threads(monkeypatch)
+    _blas_threads(monkeypatch, "1")
+    results = [train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc)]
+    assert len(started) == 3  # one worker a step
+    # again with both threads filling empty shared caches, switching as often as the interpreter can
+    monkeypatch.setattr(model, "_POSITION_TABLES", {})
+    monkeypatch.setattr(model, "_CAUSAL_MASKS", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results.append(train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc))
+    finally:
+        sys.setswitchinterval(interval)
+    for threads in (None, "2"):  # the halves one after the other on this thread
+        _blas_threads(monkeypatch, threads)
+        results.append(train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc))
+    assert len(started) == 6
+    for result in results[1:]:
+        for name, t in results[0].params.items():
+            assert t.data.tobytes() == result.params[name].data.tobytes(), name
+        assert results[0].metrics == result.metrics
+    # the split did run: unsplit, the second half's dropout masks come from the first stream
+    monkeypatch.setattr(training, "SPLIT_MIN_ROWS", 2 * SPLIT_MIN_ROWS)
+    unsplit = train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc)
+    assert unsplit.metrics[0]["train_loss"] != results[0].metrics[0]["train_loss"]
+
+
+@pytest.mark.parametrize("blas", ["1", None], ids=["threaded", "inline"])
+def test_split_step_failure_names_the_primitive_and_leaves_no_thread(monkeypatch, blas):
+    # a warning the worker raised would escape: the repository's test settings make it an error
+    _blas_threads(monkeypatch, blas)
+    cfg, batches, features = _wide_setup(rows=2 * SPLIT_MIN_ROWS)
+    (batch,) = batches
+    half = batch.text.size // 2
+    second = dict(features)
+    for vid in batch.video_ids[half:]:
+        second[vid] = np.full((3, 2), 1e308)  # overflows the frame attention's scores
+    both = dict(second)
+    for vid in batch.video_ids[:half]:
+        both[vid] = np.full((3, 2), 1e308)
+    both.pop(batch.video_ids[-1])  # the second half now fails with a KeyError instead
+    tc = TrainConfig(max_steps=2, seed=0, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
+    threads = threading.active_count()
+    for feats in (second, both):
+        result = train(ModelParameters.build(cfg, seed=0), cfg, batches, batches, feats, tc)
+        assert result.diverged and result.steps == 1
+        assert result.diverged_reason == "attention_weights: non-finite values in output"
+        assert threading.active_count() == threads
 
 
 def test_train_requires_validation_batches():
