@@ -85,11 +85,6 @@ def _digest(path):
     return h.hexdigest()
 
 
-def _manifest_path(out):
-    out = Path(out)
-    return out.with_name(out.name + ".manifest.json")
-
-
 def write_manifest(out, args, inputs, resolved=None):
     """Record the invocation and the BLAS thread setting next to ``out`` before any output is written."""
     snapshot = {"threads": blas_threads()}
@@ -107,7 +102,8 @@ def write_manifest(out, args, inputs, resolved=None):
     }
     if "seed" in snapshot:  # a command without randomness has no --seed
         manifest["seed"] = snapshot["seed"]
-    path = _manifest_path(out)
+    out = Path(out)
+    path = out.with_name(out.name + ".manifest.json")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
@@ -182,11 +178,13 @@ def cmd_transets(args):
 
 
 def _scorers(args, records):
+    for flag, path in (("--cross-matrix", args.cross_matrix), ("--target-matrix", args.target_matrix)):
+        if args.scorer == "baseline" and path is not None:
+            raise ValueError(f"{flag}: only --scorer matrix reads a similarity matrix")
+        if args.scorer == "matrix" and path is None:
+            raise ValueError(f"--scorer matrix needs {flag}")
     if args.scorer == "baseline":
         return baseline_similarity, baseline_similarity, []
-    for flag, path in (("--cross-matrix", args.cross_matrix), ("--target-matrix", args.target_matrix)):
-        if path is None:
-            raise ValueError(f"--scorer matrix needs {flag}")
     cross = MatrixScorer(records, load_similarity_matrix(args.cross_matrix), "source", "target")
     target = MatrixScorer(records, load_similarity_matrix(args.target_matrix), "target", "target")
     return cross, target, [args.cross_matrix, args.target_matrix]
@@ -337,12 +335,6 @@ def _require(items, path, what):
         raise ValueError(f"{path}: {what}")
 
 
-def _read_model_config(path):
-    """Parse a full ``key = value`` model config, as ``train`` writes beside a checkpoint."""
-    with _naming(path):
-        return ModelConfig.from_text(Path(path).read_text(encoding="utf-8"))
-
-
 def _resolve_model_config(args, src_vocab, tgt_vocab, features):
     """Flags beat the --model-config file, which beats the defaults.
 
@@ -356,7 +348,7 @@ def _resolve_model_config(args, src_vocab, tgt_vocab, features):
     kwargs = data
     if args.model_config:
         with _naming(args.model_config):
-            kwargs = ModelConfig.parse_text(Path(args.model_config).read_text(encoding="utf-8"))
+            kwargs = ModelConfig.parse_text(args.model_config.read_text(encoding="utf-8"))
             for key, value in data.items():
                 if kwargs.setdefault(key, value) != value:
                     raise ValueError(f"{key} is {kwargs[key]}, but the data gives {value}")
@@ -386,19 +378,6 @@ def _model_input_at_fault(kwargs, flags, path):
     return ", ".join(_flag(key) for key in alone or flags)
 
 
-def _add_model_flags(parser):
-    parser.add_argument("--model-config", type=Path, help="key = value config file")
-    _add_field_flags(parser, ModelConfig, _MODEL_OVERRIDES, override=True)
-
-
-def _load_vocabs(args, train_records):
-    if args.src_vocab and args.tgt_vocab:
-        return Vocabulary.load(args.src_vocab), Vocabulary.load(args.tgt_vocab), []
-    src = build_vocabulary(train_records, "source", args.vocab_min_count)
-    tgt = build_vocabulary(train_records, "target", args.vocab_min_count)
-    return src, tgt, ["built"]
-
-
 def cmd_train(args):
     tc = TrainConfig(**{**_field_values(args, TrainConfig),
                         "clip_norm": None if args.no_clip else args.clip_norm,
@@ -408,7 +387,11 @@ def cmd_train(args):
     _require(train_records, args.train, "no records to train on")
     _require(val_records, args.val, "no records to validate on")
     flags = _read_bool_csv(args.flags, "id,flag") if args.flags else {}
-    src_vocab, tgt_vocab, built = _load_vocabs(args, train_records)
+    given = (args.src_vocab, args.tgt_vocab)  # a side not given is built from --train and saved beside --out
+    src_vocab, tgt_vocab = (
+        Vocabulary.load(path) if path else build_vocabulary(train_records, side, args.vocab_min_count)
+        for path, side in zip(given, ("source", "target"))
+    )
     train_batches, skipped_train = make_batches(
         train_records, src_vocab, tgt_vocab, args.tokens_per_batch, seed=args.seed, flags_by_id=flags
     )
@@ -421,9 +404,7 @@ def cmd_train(args):
     features = _load_features_dir(args.features, video_ids)
     cfg = _resolve_model_config(args, src_vocab, tgt_vocab, features)
 
-    inputs = [args.train, args.val] + ([args.flags] if args.flags else [])
-    if not built:
-        inputs += [args.src_vocab, args.tgt_vocab]
+    inputs = [args.train, args.val] + ([args.flags] if args.flags else []) + [path for path in given if path]
     write_manifest(args.out, args, inputs, resolved=asdict(cfg))
     if skipped_train:
         print(f"skipped {len(skipped_train)} oversized sentences: {skipped_train}", file=sys.stderr)
@@ -438,9 +419,9 @@ def cmd_train(args):
     out = Path(args.out)
     result.params.save(out)
     out.with_suffix(out.suffix + ".cfg").write_text(cfg.to_text(), encoding="utf-8")
-    if built:
-        src_vocab.save(out.with_suffix(out.suffix + ".src-vocab.txt"))
-        tgt_vocab.save(out.with_suffix(out.suffix + ".tgt-vocab.txt"))
+    for path, vocab, side in zip(given, (src_vocab, tgt_vocab), ("src", "tgt")):
+        if not path:
+            vocab.save(out.with_suffix(f"{out.suffix}.{side}-vocab.txt"))
     write_jsonl(args.metrics or out.with_suffix(out.suffix + ".metrics.jsonl"), result.metrics)
     line = f"steps={result.steps} best_val_loss={result.best_val_loss:.6f}"
     if result.diverged:
@@ -465,7 +446,8 @@ def _load_model(args):
     """
     records, _ = parse_corpus(args.corpus)
     _require(records, args.corpus, "no records to read")
-    cfg = _read_model_config(args.model_config)
+    with _naming(args.model_config):
+        cfg = ModelConfig.from_text(args.model_config.read_text(encoding="utf-8"))
     src_vocab = _load_vocab(args.src_vocab, "src_vocab_size", cfg.src_vocab_size, args.model_config)
     tgt_vocab = _load_vocab(args.tgt_vocab, "tgt_vocab_size", cfg.tgt_vocab_size, args.model_config)
     params = ModelParameters.load(args.checkpoint, cfg)
@@ -625,7 +607,8 @@ def build_parser():
     p.add_argument("--no-clip", dest="no_clip", action="store_true")
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=TrainConfig.checkpoint_every,
                    help="also save the live parameters every N steps")
-    _add_model_flags(p)
+    p.add_argument("--model-config", type=Path, help="key = value config file")
+    _add_field_flags(p, ModelConfig, _MODEL_OVERRIDES, override=True)
     _common(p)
     p.set_defaults(func=cmd_train)
 

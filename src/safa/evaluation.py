@@ -21,7 +21,15 @@ from .model import (
     fuse_sources,
 )
 from .tensor import Tensor, check_gradients
-from .training import Schedule, TrainConfig, central_frame_indices, make_batches, synthetic_splits, train
+from .training import (
+    Schedule,
+    TrainConfig,
+    _outcome,
+    central_frame_indices,
+    make_batches,
+    synthetic_splits,
+    train,
+)
 
 
 @dataclass
@@ -331,10 +339,7 @@ def _forked(fn):
         status = 1
         try:
             os.close(read_end)
-            try:
-                result = (True, fn())
-            except BaseException as exc:
-                result = (False, exc)
+            result = _outcome(fn)
             try:
                 payload = pickle.dumps(result)
                 pickle.loads(payload)  # an exception whose constructor takes other arguments fails here
@@ -503,7 +508,6 @@ def run_synthetic_experiment(exp, variants=None):
         "trained": trained,
         "central_attention": central,
         "test_inputs": (src, mask, VideoFeatureBatch.stack(test_ids, features)),
-        "vocabularies": (src_vocab, tgt_vocab),
     }
     return rows, details
 

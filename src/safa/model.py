@@ -294,11 +294,9 @@ class ModelParameters:
         return cls(tensors)
 
 
-# The two threads of a split training step may grow this cache and
-# _CAUSAL_MASKS at once. Each entry is stored complete and never written
-# again. Racing threads may store tables of different lengths here (equal
-# masks there); each caller returns its own table, and a shorter stored
-# table is only regrown later.
+# The two threads of a split training step may grow this cache at once.
+# Each table is stored complete and never written again; each caller
+# returns its own, and a shorter stored table is only regrown later.
 _POSITION_TABLES = {}  # d_model -> read-only table, grown to the longest length asked for
 
 
@@ -321,16 +319,11 @@ def sinusoidal_positions(length, d_model):
     return table[:length]
 
 
-_CAUSAL_MASKS = {}  # length -> read-only mask
-
-
+@functools.cache
 def _causal_mask(length):
-    """(length, length) bool, True above the diagonal: where a position may not look at a later one."""
-    mask = _CAUSAL_MASKS.get(length)
-    if mask is None:
-        mask = np.triu(np.ones((length, length), dtype=bool), k=1)
-        mask.flags.writeable = False
-        _CAUSAL_MASKS[length] = mask
+    """(length, length) read-only bool, True above the diagonal: where a position may not look at a later one."""
+    mask = np.triu(np.ones((length, length), dtype=bool), k=1)
+    mask.flags.writeable = False
     return mask
 
 
@@ -538,7 +531,7 @@ def label_smoothed_loss(logits, targets, mask, smoothing):
     return T.weighted_sum(per_token, _mean_weights(mask, "target"), axis=-1)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.cache
 def gaussian_target(frames, halfwidth, mean, std, temperature):
     """Tempered softmax of Gaussian density values at evenly spaced points, as a read-only array.
 

@@ -665,17 +665,17 @@ def weighted_sum(x, weights, axis=None):
 # Gradient checking
 # ---------------------------------------------------------------------------
 
+_CD_STEP = 1e-4  # the central-difference step
 
-def check_gradients(fn, params, epsilon=1e-4):
-    """Max relative error between taped gradients and central differences.
+
+def check_gradients(fn, params):
+    """Max relative error between taped gradients and central differences of step ``_CD_STEP``.
 
     ``fn`` maps the parameter dict to a scalar Tensor and must be
     deterministic (run dropout disabled). The relative error per entry is
     |analytic - cd| / max(|analytic|, |cd|, 1e-8); a NaN error is returned
     as NaN. Each entry is restored after its two calls, also when ``fn`` raises.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     first = np.array(fn(params).data, copy=True)
     second = np.array(fn(params).data, copy=True)
     if not np.array_equal(first, second):
@@ -698,13 +698,13 @@ def check_gradients(fn, params, epsilon=1e-4):
         for i in range(flat.size):
             orig = flat[i]
             try:
-                flat[i] = orig + epsilon
+                flat[i] = orig + _CD_STEP
                 plus = fn(params).item()
-                flat[i] = orig - epsilon
+                flat[i] = orig - _CD_STEP
                 minus = fn(params).item()
             finally:
                 flat[i] = orig
-            cd = (plus - minus) / (2.0 * epsilon)
+            cd = (plus - minus) / (2.0 * _CD_STEP)
             rel = abs(flat_grad[i] - cd) / max(abs(flat_grad[i]), abs(cd), 1e-8)
             if rel > max_rel or rel != rel:  # a NaN is never greater, and no later error replaces it
                 max_rel = rel

@@ -174,6 +174,16 @@ def test_votes_alpha_splits(corpus, tmp_path, capsys):
     assert sorted((rows["a1"], rows["a4"])) == ["test", "validation"]
 
 
+def test_alpha_out_holds_the_printed_value_and_digests_the_votes(tmp_path, capsys):
+    votes = tmp_path / "votes.csv"
+    votes.write_text(VOTES, encoding="utf-8")
+    out = tmp_path / "alpha.txt"
+    assert _run("pipeline", "alpha", "--in", votes, "--out", out) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+    manifest = json.loads((tmp_path / "alpha.txt.manifest.json").read_text())
+    assert manifest["inputs"] == {str(votes): hashlib.sha256(votes.read_bytes()).hexdigest()}
+
+
 def test_malformed_votes_and_similarity_header_name_the_file(corpus, tmp_path, capsys):
     votes = tmp_path / "votes.csv"
     votes.write_text(VOTES.replace("a2,second,w2,none", "a2,second,w2,nope"), encoding="utf-8")
@@ -253,6 +263,15 @@ def test_ambiguous_bad_flags_name_the_flag_and_write_nothing(corpus, tmp_path, c
     assert _run("pipeline", "ambiguous", "--in", corpus, "--out", out, *flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert not out.exists() and not (tmp_path / "ambiguous.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--cross-matrix"], ["--scorer", "baseline", "--target-matrix"]],
+                         ids=["cross-matrix", "target-matrix"])
+def test_ambiguous_baseline_rejects_a_matrix_it_would_not_read(corpus, tmp_path, capsys, flags):
+    out = tmp_path / "ambiguous.jsonl"
+    assert _run("pipeline", "ambiguous", "--in", corpus, "--out", out, *flags, corpus) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flags[-1]}: ")
     assert not out.exists() and not (tmp_path / "ambiguous.jsonl.manifest.json").exists()
 
 
@@ -417,6 +436,25 @@ def test_train_uses_the_given_vocabularies(tmp_path, capsys):
     inputs = json.loads((tmp_path / "given.ckpt.manifest.json").read_text())["inputs"]
     assert {str(src_vocab), str(tgt_vocab)} <= set(inputs)
     assert not list(tmp_path.glob("given.ckpt.*-vocab.txt"))
+
+
+@pytest.mark.parametrize("given, built", [("src", "tgt"), ("tgt", "src")])
+def test_train_loads_a_vocabulary_given_alone_and_builds_the_other(tmp_path, given, built):
+    synth_dir, _ = _train_tiny_model(tmp_path)
+    vocab = tmp_path / f"given.{given}-vocab.txt"
+    tokens = (tmp_path / f"model.ckpt.{given}-vocab.txt").read_text(encoding="utf-8")
+    vocab.write_text(tokens + "unseen\n", encoding="utf-8")
+    out = tmp_path / "given.ckpt"
+    assert _run(*_train_argv(synth_dir, out, "--max-steps", 1, f"--{given}-vocab", vocab)) == 0
+    cfg = ModelConfig.from_text((tmp_path / "given.ckpt.cfg").read_text(encoding="utf-8"))
+    assert getattr(cfg, f"{given}_vocab_size") == len(tokens.splitlines()) + 1
+    # the given side is an input, digested and not written again; the other is built and saved
+    inputs = json.loads((tmp_path / "given.ckpt.manifest.json").read_text())["inputs"]
+    assert inputs[str(vocab)] == hashlib.sha256(vocab.read_bytes()).hexdigest()
+    assert len(inputs) == 3  # --train, --val and the given vocabulary
+    assert not (tmp_path / f"given.ckpt.{given}-vocab.txt").exists()
+    saved = (tmp_path / f"given.ckpt.{built}-vocab.txt").read_bytes()
+    assert saved == (tmp_path / f"model.ckpt.{built}-vocab.txt").read_bytes()
 
 
 def test_decode_mixed_frame_counts_names_the_clip(tmp_path, capsys):
@@ -745,6 +783,21 @@ def test_ablate_bad_flags_exit_one_before_the_manifest(tmp_path, capsys, flags, 
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {named}: ") and captured.out == "", captured
     assert not out.exists() and not (tmp_path / "t.csv.manifest.json").exists()
+
+
+def test_ablate_writes_the_table_it_prints(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert _run("ablate", "--out", out, *_SMALL_DATASET, "--max-steps", "2", "--variants", "full,text_only") == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "variant,bleu,synthetic_accuracy,central_attention"
+    table = out.read_text(encoding="utf-8").splitlines()
+    assert table[0] == "variant,bleu,synthetic_accuracy"
+    assert [row.split(",")[0] for row in table[1:]] == ["full", "text_only"]
+    # each printed row is the table's row plus its central attention
+    assert [row.rsplit(",", 1)[0] for row in printed[1:]] == table[1:]
+    assert all(0.0 <= float(row.rsplit(",", 1)[1]) <= 1.0 for row in printed[1:])
+    manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+    assert manifest["config"]["variants"] == "full,text_only" and manifest["inputs"] == {}
 
 
 @pytest.mark.parametrize("flags, named", [

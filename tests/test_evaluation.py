@@ -347,7 +347,7 @@ def test_gradient_check_equals_one_check_of_forward_full(seed):
     def fn(tensors):
         return forward_full(batch, feats, ModelParameters(tensors), cfg)[1].loss
 
-    oracle = check_gradients(fn, params.tensors, epsilon=1e-4)
+    oracle = check_gradients(fn, params.tensors)
     assert repr(gradient_check_full_loss(seed, d_model=8, frames=4)) == repr(oracle)
 
 
@@ -434,7 +434,7 @@ def test_gradient_check_without_fork_equals_one_check_of_forward_full(monkeypatc
     def fn(tensors):
         return forward_full(batch, feats, ModelParameters(tensors), cfg)[1].loss
 
-    oracle = repr(check_gradients(fn, params.tensors, epsilon=1e-4))
+    oracle = repr(check_gradients(fn, params.tensors))
     monkeypatch.setattr(os, "fork", _fork_fails)
     assert repr(gradient_check_full_loss(0, d_model=8, frames=4)) == oracle
     monkeypatch.delattr(os, "fork")

@@ -708,7 +708,7 @@ def test_forward_full_gradients_match_finite_differences():
         _, breakdown = forward_full(batch, feats, ModelParameters(params), cfg)
         return breakdown.loss
 
-    err = check_gradients(fn, p.tensors, epsilon=1e-4)
+    err = check_gradients(fn, p.tensors)
     assert err < 1e-3, f"max relative error {err}"
 
 

@@ -299,7 +299,7 @@ def test_primitive_gradients_match_central_differences(name):
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         fn, params = _fd_case(name, rng)
-        worst = np.maximum(worst, check_gradients(fn, params, epsilon=1e-4))
+        worst = np.maximum(worst, check_gradients(fn, params))
     assert worst < 1e-4, f"{name}: max relative error {worst}"
 
 
@@ -338,7 +338,7 @@ def test_add_operands_with_further_gradients_match_central_differences():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         params = {k: Tensor(rng.normal(size=(2, 3)), requires_grad=True) for k in ("a", "b", "c")}
-        assert check_gradients(fn, params, epsilon=1e-4) < 1e-7
+        assert check_gradients(fn, params) < 1e-7
 
 
 # Parent formulas of the primitives whose reductions were reworked, written
@@ -568,7 +568,7 @@ def test_broadcast_and_batched_gradients_match_central_differences(name, shape_a
         operands = {"a": a.swapaxes(-1, -2) if transposed else a, "b": b}
         params = {k: Tensor(v, requires_grad=True) for k, v in operands.items() if k in taped}
         constants = {k: Tensor(v) for k, v in operands.items() if k not in taped}
-        worst = np.maximum(worst, check_gradients(lambda p: fn({**constants, **p}), params, epsilon=1e-4))
+        worst = np.maximum(worst, check_gradients(lambda p: fn({**constants, **p}), params))
     assert worst < 1e-4, f"{key}: max relative error {worst}"
 
 
@@ -649,7 +649,7 @@ def test_weighted_sum_rejects_weights_of_another_shape():
 
 def test_check_gradients_square():
     params = {"x": Tensor([3.0], requires_grad=True)}
-    err = check_gradients(lambda p: _total(_product(p["x"], p["x"])), params, epsilon=1e-4)
+    err = check_gradients(lambda p: _total(_product(p["x"], p["x"])), params)
     assert err < 1e-8
 
 
@@ -663,7 +663,7 @@ def test_check_gradients_softmax_nll_matches_closed_form():
         def nll(p):
             return T.smoothed_cross_entropy(p["logits"], np.array(target), smoothing)
 
-        err = check_gradients(nll, {"logits": logits}, epsilon=1e-4)
+        err = check_gradients(nll, {"logits": logits})
         assert err < 1e-6
         # closed form: softmax(logits) - q, with q = onehot(target) when unsmoothed
         with Tape() as tape:
@@ -715,7 +715,7 @@ def test_check_gradients_restores_the_entry_when_fn_raises():
 
     def fn(p):
         calls["n"] += 1
-        if calls["n"] == 4:  # two determinism calls, one taped, then w[0] + epsilon
+        if calls["n"] == 4:  # two determinism calls, one taped, then w[0] + the step
             raise NumericError("raised while w[0] is perturbed")
         return T.weighted_sum(p["w"], np.ones(2))
 

@@ -401,7 +401,7 @@ def test_split_training_runs_bit_identical(monkeypatch):
     assert len(started) == 3  # one worker a step
     # again with both threads filling empty shared caches, switching as often as the interpreter can
     monkeypatch.setattr(model, "_POSITION_TABLES", {})
-    monkeypatch.setattr(model, "_CAUSAL_MASKS", {})
+    model._causal_mask.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
