@@ -1,8 +1,6 @@
 """Decoding, corpus BLEU, ablation runs, and frame-attention export."""
 
 import math
-import os
-import pickle
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -24,7 +22,7 @@ from .tensor import Tensor, check_gradients
 from .training import (
     Schedule,
     TrainConfig,
-    _outcome,
+    _Child,
     central_frame_indices,
     make_batches,
     synthetic_splits,
@@ -314,61 +312,24 @@ def _gradient_check_inputs(seed, d_model, frames):
     return cfg, params, batch, VideoFeatureBatch(rng.normal(size=(2, frames, 3)))
 
 
-_SIGKILL = 9  # POSIX fixes it; ``os`` names no signals, and ``signal`` is not otherwise loaded
-
-
 def _forked(fn):
-    """Start ``fn()`` in a forked child; return ``wait(kill=False)``, which gives its value.
+    """Start ``fn()`` in a forked ``training._Child``; return ``wait(kill=False)``, which gives its value.
 
-    ``wait`` re-raises the child's exception with its type and message, raises
-    RuntimeError naming the exit status of a child that ends without a result,
-    and reaps the child in every case; ``wait(kill=True)`` ends and reaps it
-    unheard. The child leaves through ``os._exit``, so it never returns into
-    the caller's stack, flushes the caller's stdio buffers or runs exit
-    handlers. Where ``os.fork`` is missing or fails, ``wait`` runs ``fn`` in
-    the calling process.
+    ``wait`` gives what ``_Child.answer`` gives, its value or the child's
+    error, and then stops the child, which is reaped in every case;
+    ``wait(kill=True)`` ends and reaps it unheard. Where ``os.fork`` is
+    missing or fails, ``wait`` runs ``fn`` in the calling process.
     """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except (AttributeError, OSError):
-        os.close(read_end)
-        os.close(write_end)
+    child = _Child.fork(lambda _: fn())
+    if child is None:
         return lambda kill=False: None if kill else fn()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            result = _outcome(fn)
-            try:
-                payload = pickle.dumps(result)
-                pickle.loads(payload)  # an exception whose constructor takes other arguments fails here
-            except Exception:
-                value = result[1]
-                payload = pickle.dumps((False, RuntimeError(f"{type(value).__name__}: {value}")))
-            with open(write_end, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-
-    os.close(write_end)
+    child.ask(None)
 
     def wait(kill=False):
-        with open(read_end, "rb") as pipe:
-            try:
-                if kill:
-                    os.kill(pid, _SIGKILL)
-                    return None
-                payload = pipe.read()
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if not payload:
-            raise RuntimeError(f"the forked child ended without a result (exit status {code})")
-        ok, value = pickle.loads(payload)
-        if not ok:
-            raise value
-        return value
+        try:
+            return None if kill else child.answer()
+        finally:
+            child.stop()
 
     return wait
 

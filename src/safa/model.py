@@ -294,9 +294,8 @@ class ModelParameters:
         return cls(tensors)
 
 
-# The two threads of a split training step may grow this cache at once.
-# Each table is stored complete and never written again; each caller
-# returns its own, and a shorter stored table is only regrown later.
+# Each table is stored complete and never written again, so a caller may
+# keep the view it returned while a longer table replaces it.
 _POSITION_TABLES = {}  # d_model -> read-only table, grown to the longest length asked for
 
 

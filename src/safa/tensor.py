@@ -99,8 +99,9 @@ class Tape:
 
     The active-tape stack is thread-local: independent recordings may run
     on separate threads, but one tape never spans threads. A split training
-    step records its two row halves so, one tape on each of two threads,
-    each over its own ``Tensor``s of the shared parameter arrays.
+    step records its two row halves on two tapes, each over its own
+    ``Tensor``s of the parameter values, in two processes or one after the
+    other.
     """
 
     def __init__(self):

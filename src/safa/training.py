@@ -1,19 +1,22 @@
 """Optimizer, schedule, batching, training loop, and synthetic data.
 
 Steps run one after another. A batch of at least ``2 * SPLIT_MIN_ROWS``
-rows runs as two row halves; under one BLAS thread the second runs on a
-worker thread while the first runs, so that the step uses two CPUs, and
-otherwise right after the first. Dropout masks come from two counter-based
-Philox streams, one for whole batches and first halves, one for second
-halves; epoch shuffles come from a third. So the seed determines a run: two
-runs with the same seed and BLAS thread setting produce bit-identical
-parameters, and runs at other settings differ only in BLAS's rounding.
+rows runs as two row halves; under one BLAS thread the second runs in a
+forked worker process while the first runs here, so that the step uses two
+CPUs, and otherwise right after the first. Dropout masks come from two
+counter-based Philox streams, one for whole batches and first halves, one
+for second halves; epoch shuffles come from a third. So the seed
+determines a run: two runs with the same seed and BLAS thread setting
+produce bit-identical parameters, and runs at other settings differ only
+in BLAS's rounding.
 """
 
-import contextvars
+import contextlib
+import functools
 import math
+import mmap
 import os
-import threading
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,9 +89,15 @@ def adam_step(params, state, lr, clip_norm=None):
             raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
         grads[name] = g
     if clip_norm is not None:
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        with np.errstate(over="ignore"):  # finite entries may still square past the largest float
+            total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         if total > clip_norm:
-            factor = clip_norm / total
+            if total == math.inf:  # the norm of g / largest |g| cannot overflow; divide by both in turn
+                largest = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+                factor = clip_norm / largest / math.sqrt(sum(float(np.square(g / largest).sum())
+                                                             for g in grads.values()))
+            else:
+                factor = clip_norm / total
             grads = {name: g * factor for name, g in grads.items()}
     state.step_count += 1
     t = state.step_count
@@ -220,6 +229,56 @@ def _backward(text, video_ids, features, params, cfg, rng, norms=None):
     return breakdown
 
 
+def _losses(breakdown):
+    return breakdown.total, breakdown.translation_loss, breakdown.frame_loss
+
+
+def _second_half(batch, features, arrays, cfg, rng):
+    """Forward and backward of a split batch's second half, on its own tensors over the parameter ``arrays``.
+
+    ``arrays`` maps each parameter name to its values. Returns the half's
+    (total, translation, frame) losses, which divide by the whole batch's
+    counts, and its gradients by name, None for a parameter it did not read.
+    """
+    text, half = batch.text, batch.text.size // 2
+    own = ModelParameters({name: Tensor(data, requires_grad=True) for name, data in arrays.items()})
+    second = _backward(text.rows(slice(half, None)), batch.video_ids[half:], features, own, cfg, rng,
+                       LossNormalizers.of(text.flags))
+    return _losses(second), {name: t.grad for name, t in own.items()}
+
+
+def _step_backward(batch, features, params, cfg, rngs, start=None):
+    """Forward and backward of one training batch; returns its (total, translation, frame) losses.
+
+    Below ``2 * SPLIT_MIN_ROWS`` rows the batch is one ``_backward`` with
+    ``rngs[0]``. Otherwise it runs as two row halves, both dividing by the
+    whole batch's counts, so that their losses and gradients sum to the
+    batch's. The first half runs here with ``rngs[0]`` on ``params``; the
+    second is ``_second_half`` with ``rngs[1]`` over the same values, and its
+    gradients are then added to the first's. ``start`` only says where the
+    second half runs: ``start()`` starts it in a worker while the first runs
+    here and returns a function that waits for its losses and gradients;
+    without ``start`` it runs here after the first. A half's numbers do not
+    depend on the process that runs it, so both give the same result. An
+    error of the first half leaves at once, and the caller stops the worker.
+    """
+    text, video_ids, half = batch.text, batch.video_ids, batch.text.size // 2
+    if half < SPLIT_MIN_ROWS:
+        return _losses(_backward(text, video_ids, features, params, cfg, rngs[0]))
+    finish = start() if start else functools.partial(
+        _second_half, batch, features, {name: t.data for name, t in params.items()}, cfg, rngs[1])
+    first = _backward(text.rows(slice(half)), video_ids[:half], features, params, cfg, rngs[0],
+                      LossNormalizers.of(text.flags))
+    losses, gradients = finish()
+    for name, g in gradients.items():
+        if g is not None:
+            _accumulate(params[name], g)
+    return tuple(a + b for a, b in zip(_losses(first), losses))
+
+
+_SIGKILL = 9  # POSIX fixes it; ``os`` names no signals, and ``signal`` is not otherwise loaded
+
+
 def _outcome(fn, *args):
     """``(True, fn(*args))``, or ``(False, the exception it raised)`` for the caller to raise."""
     try:
@@ -228,49 +287,158 @@ def _outcome(fn, *args):
         return False, exc
 
 
-def _step_backward(batch, features, params, cfg, rngs, threaded):
-    """Forward and backward of one training batch; returns its (total, translation, frame) losses.
+def _serve(handle, request_fd, answer_fd):
+    """The child's side of ``_Child``: answer each request in turn until the end message, then ``os._exit``."""
+    status = 1
+    try:
+        with open(request_fd, "rb") as requests, open(answer_fd, "wb") as answers:
+            # each message is (request,), and () at the end; a caller that died without one leaves EOFError
+            while message := pickle.load(requests):
+                outcome = _outcome(handle, *message)
+                try:
+                    payload = pickle.dumps(outcome)
+                    pickle.loads(payload)  # an exception whose constructor takes other arguments fails here
+                except Exception:
+                    value = outcome[1]
+                    payload = pickle.dumps((False, RuntimeError(f"{type(value).__name__}: {value}")))
+                answers.write(payload)
+                answers.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
-    Below ``2 * SPLIT_MIN_ROWS`` rows the batch is one ``_backward`` with
-    ``rngs[0]``. Otherwise it runs as two row halves, both dividing by the
-    whole batch's counts, so that their losses and gradients sum to the
-    batch's. The first half runs with ``rngs[0]`` on ``params``; the second
-    with ``rngs[1]`` on its own tensors over the same parameter arrays, and
-    its gradients are then added to the first's. ``threaded`` only says
-    where the second half runs: on a worker thread while this thread runs
-    the first, or on this thread after it. A half's numbers do not depend
-    on the thread that runs it, so both give the same result. The worker
-    runs in a copy of this thread's context, which holds numpy's error
-    state. It is joined before any error leaves, and the first half's error
-    is the one raised when both fail.
+
+class _Child:
+    """A forked child process that answers ``handle(request)`` for each request sent to it, in order.
+
+    Requests and answers cross two pipes as pickles. ``answer`` returns the
+    oldest unanswered request's value or re-raises its exception with its
+    type and message (one that does not survive pickling comes back as a
+    RuntimeError that names both); when the child ended without answering,
+    it reaps the child and raises RuntimeError naming the exit status.
+    ``stop`` sends the end of the requests and reaps the child, which then
+    leaves on its own, or ends it at once by SIGKILL while it owes an
+    answer. The child leaves through ``os._exit``, so it never returns into
+    the caller's stack, flushes the caller's stdio buffers or runs exit
+    handlers.
     """
-    text, video_ids, half = batch.text, batch.video_ids, batch.text.size // 2
-    if half < SPLIT_MIN_ROWS:
-        whole = _backward(text, video_ids, features, params, cfg, rngs[0])
-        return whole.total, whole.translation_loss, whole.frame_loss
-    norms = LossNormalizers.of(text.flags)
-    own = ModelParameters({name: Tensor(t.data, requires_grad=True) for name, t in params.items()})
-    first_args = (text.rows(slice(half)), video_ids[:half], features, params, cfg, rngs[0], norms)
-    second_args = (text.rows(slice(half, None)), video_ids[half:], features, own, cfg, rngs[1], norms)
-    if threaded:
-        context, outcome = contextvars.copy_context(), []
-        worker = threading.Thread(target=lambda: outcome.append(_outcome(context.run, _backward, *second_args)))
-        worker.start()
+
+    def __init__(self, pid, requests, answers):
+        self.pid, self._requests, self._answers = pid, requests, answers
+        self._owed = 0
+
+    @classmethod
+    def fork(cls, handle):
+        """Start a child that serves ``handle``; None where ``os.fork`` is missing or fails."""
+        request_read, request_write = os.pipe()
+        answer_read, answer_write = os.pipe()
         try:
-            first = _backward(*first_args)
-        finally:
-            worker.join()
-        done, second = outcome[0]
+            pid = os.fork()
+        except (AttributeError, OSError):
+            for fd in (request_read, request_write, answer_read, answer_write):
+                os.close(fd)
+            return None
+        if pid == 0:
+            os.close(request_write)
+            os.close(answer_read)
+            _serve(handle, request_read, answer_write)
+        os.close(request_read)
+        os.close(answer_write)
+        return cls(pid, open(request_write, "wb"), open(answer_read, "rb"))
+
+    def ask(self, request):
+        self._owed += 1
+        self._send((request,))
+
+    def _send(self, message):
+        try:
+            pickle.dump(message, self._requests)
+            self._requests.flush()
+        except BrokenPipeError:
+            pass  # the child has ended; ``answer`` or ``stop`` finds out how
+
+    def answer(self):
+        try:
+            done, value = pickle.load(self._answers)
+        except (EOFError, pickle.UnpicklingError):
+            pid, self.pid = self.pid, None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise RuntimeError(f"the forked child ended without a result (exit status {code})") from None
+        self._owed -= 1
         if not done:
-            raise second
-    else:
-        first = _backward(*first_args)
-        second = _backward(*second_args)
-    for name, t in own.items():
-        if t.grad is not None:
-            _accumulate(params[name], t.grad)
-    return (first.total + second.total, first.translation_loss + second.translation_loss,
-            first.frame_loss + second.frame_loss)
+            raise value
+        return value
+
+    def stop(self):
+        if self.pid is not None:
+            if self._owed:
+                os.kill(self.pid, _SIGKILL)
+            else:
+                self._send(())  # an end message, not EOF: a child forked later may hold the pipe open too
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        with contextlib.suppress(BrokenPipeError):
+            self._requests.close()
+        self._answers.close()
+
+
+@contextlib.contextmanager
+def _second_half_worker(batches, features, params, cfg, rng):
+    """Yield ``start(index)``, which runs the second half of split ``batches[index]`` in a forked worker, or None.
+
+    The worker is forked here once and serves every split step of one
+    ``train`` call. Its tensors lie over the parameter values in an
+    anonymous shared mapping made before the fork: ``start`` copies
+    ``params``' values into it, sends the index and returns a function that
+    waits for the half's losses and gradients (see ``_second_half``), which
+    the worker writes back into the mapping, and a mask of those it has.
+    The worker inherits ``rng`` and is the only process that draws from it.
+    It is reaped when the ``with`` block ends, however it ends: killed if
+    it is still running a half, as after an error of the first.
+    None, so that the second half runs after the first in this process,
+    when no batch splits, when BLAS runs other than one thread (two halves
+    at once would oversubscribe the CPUs with their BLAS threads), or where
+    ``os.fork`` is missing or fails.
+    """
+    if blas_threads() != 1 or all(b.text.size // 2 < SPLIT_MIN_ROWS for b in batches):
+        yield None
+        return
+    total = sum(t.data.size for _, t in params.items())
+    shared = np.frombuffer(mmap.mmap(-1, 2 * total * 8))  # float64 values, then float64 gradients
+    cuts = np.cumsum([t.data.size for _, t in params.items()])[:-1]
+
+    def views(flat):
+        return {name: part.reshape(t.data.shape) for (name, t), part in zip(params.items(), np.split(flat, cuts))}
+
+    values, gradients = views(shared[:total]), views(shared[total:])
+
+    def second_half(index):
+        losses, grads = _second_half(batches[index], features, values, cfg, rng)
+        for name, g in grads.items():
+            if g is not None:
+                gradients[name][...] = g
+        return losses, [g is not None for g in grads.values()]
+
+    child = _Child.fork(second_half)
+    if child is None:
+        yield None
+        return
+
+    def start(index):
+        for name, t in params.items():
+            values[name][...] = t.data
+        child.ask(index)
+
+        def finish():
+            losses, read = child.answer()
+            return losses, {name: g.copy() if has else None for (name, g), has in zip(gradients.items(), read)}
+
+        return finish
+
+    try:
+        yield start
+    finally:
+        child.stop()
 
 
 @dataclass
@@ -294,17 +462,17 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     primitive or parameter, in ``diverged_reason``. numpy's overflow and
     invalid-value warnings are silenced: the error already names the place.
     ``checkpoint_callback(step, params)`` fires every ``checkpoint_every``
-    steps when that cadence is set.
+    steps when that cadence is set. Under one BLAS thread a call whose
+    batches split forks one worker for their second halves, and reaps it
+    before it returns or raises (see ``_second_half_worker``).
     """
     if not val_batches:
         raise ValueError("validation set must be non-empty")
     tc = train_config
-    # the second dropout stream serves only the second half of a split batch
+    # the second dropout stream serves only the second half of a split batch, in the worker when there is one
     dropout_rngs = (np.random.Generator(np.random.Philox(tc.seed)),
                     np.random.Generator(np.random.Philox([tc.seed, 3])))
     order_rng = np.random.Generator(np.random.Philox([tc.seed, 1]))
-    # two threads pay only under one BLAS thread: with more, the halves' BLAS threads oversubscribe the CPUs
-    threaded = blas_threads() == 1
     state = AdamState(params)
     metrics = []
     best = params.copy()
@@ -312,46 +480,48 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     bad_evals = 0
     step = 0
     last_step = tc.max_steps or math.inf
-    for _epoch in range(tc.max_epochs):
-        order = order_rng.permutation(len(train_batches))
-        for index in order:
-            batch = train_batches[index]
-            step += 1
-            lr = lr_at_step(step, tc.schedule)
+    with _second_half_worker(train_batches, features, params, cfg, dropout_rngs[1]) as worker:
+        for _epoch in range(tc.max_epochs):
+            order = order_rng.permutation(len(train_batches))
+            for index in order:
+                batch = train_batches[index]
+                step += 1
+                lr = lr_at_step(step, tc.schedule)
+                start = functools.partial(worker, index) if worker else None
+                try:
+                    total, translation, frame = _step_backward(batch, features, params, cfg, dropout_rngs, start)
+                    if not math.isfinite(total):
+                        raise NonFiniteGradientError("training loss is not finite")
+                    adam_step(params, state, lr, tc.clip_norm)
+                except ArithmeticError as exc:  # non-finite values or gradients
+                    return TrainResult(best, metrics, best_val, step, diverged=True,
+                                       diverged_reason=str(exc))
+                if checkpoint_callback and tc.checkpoint_every and step % tc.checkpoint_every == 0:
+                    checkpoint_callback(step, params)
+                metrics.append(
+                    {
+                        "step": step,
+                        "lr": lr,
+                        "train_loss": total,
+                        "translation_loss": translation,
+                        "frame_loss": frame,
+                        "val_loss": None,
+                    }
+                )
+                if step >= last_step:
+                    break
             try:
-                total, translation, frame = _step_backward(batch, features, params, cfg, dropout_rngs, threaded)
-                if not math.isfinite(total):
-                    raise NonFiniteGradientError("training loss is not finite")
-                adam_step(params, state, lr, tc.clip_norm)
-            except ArithmeticError as exc:  # non-finite values or gradients
-                return TrainResult(best, metrics, best_val, step, diverged=True,
-                                   diverged_reason=str(exc))
-            if checkpoint_callback and tc.checkpoint_every and step % tc.checkpoint_every == 0:
-                checkpoint_callback(step, params)
-            metrics.append(
-                {
-                    "step": step,
-                    "lr": lr,
-                    "train_loss": total,
-                    "translation_loss": translation,
-                    "frame_loss": frame,
-                    "val_loss": None,
-                }
-            )
-            if step >= last_step:
+                val = evaluate_loss(params, cfg, val_batches, features)
+            except ArithmeticError as exc:  # the last step's update made the forward non-finite
+                return TrainResult(best, metrics, best_val, step, diverged=True, diverged_reason=str(exc))
+            metrics.append({"step": step, "lr": None, "train_loss": None,
+                            "translation_loss": None, "frame_loss": None, "val_loss": val})
+            if val < best_val:
+                best_val, best, bad_evals = val, params.copy(), 0
+            else:
+                bad_evals += 1
+            if bad_evals >= tc.patience or step >= last_step:
                 break
-        try:
-            val = evaluate_loss(params, cfg, val_batches, features)
-        except ArithmeticError as exc:  # the last step's update made the forward non-finite
-            return TrainResult(best, metrics, best_val, step, diverged=True, diverged_reason=str(exc))
-        metrics.append({"step": step, "lr": None, "train_loss": None,
-                        "translation_loss": None, "frame_loss": None, "val_loss": val})
-        if val < best_val:
-            best_val, best, bad_evals = val, params.copy(), 0
-        else:
-            bad_evals += 1
-        if bad_evals >= tc.patience or step >= last_step:
-            break
     return TrainResult(best, metrics, best_val, step)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -901,6 +902,27 @@ def test_grad_check_prints_each_seed_once_to_a_file(tmp_path):
         b"seed 2: max relative error 1.640e-06\n"
         b"max relative error 1.838e-06\n"
     )
+
+
+def test_train_with_a_forked_worker_prints_once_to_a_file(tmp_path, monkeypatch):
+    # one 256-row batch under one BLAS thread: its second halves run in a forked worker. Written to a
+    # file, stdout is block-buffered; a worker that returned into this process's stack on its way out
+    # would go on to train and print a result line of its own
+    for name in BLAS_THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", "--out-dir", synth_dir, "--n-train", 256, "--n-val", 4,
+                "--n-test", 4, "--frames", 6, "--feature-dim", 4, "--seed", 2) == 0
+    out = tmp_path / "train.txt"
+    with open(out, "wb") as stdout:
+        run = _safa_process(*_train_argv(synth_dir, tmp_path / "model.ckpt", "--max-steps", 2),
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert re.fullmatch(rb"ok steps=2 best_val_loss=\d+\.\d{6}\n", out.read_bytes())
+    rows = [json.loads(line) for line in (tmp_path / "model.ckpt.metrics.jsonl").read_text().splitlines()]
+    assert [(row["step"], row["val_loss"] is None) for row in rows] == [(1, True), (1, False), (2, True), (2, False)]
 
 
 def test_grad_check_fails_on_a_nan_error(capsys, monkeypatch):

@@ -1,11 +1,11 @@
+import functools
 import math
-import sys
-import threading
+import os
 
 import numpy as np
 import pytest
 
-from safa import model, training
+from safa import training
 from safa.corpus import BOS_ID, EOS_ID, SubtitleRecord, build_vocabulary
 from safa.model import ModelConfig, ModelParameters, VideoFeatureBatch, forward_full
 from safa.tensor import Tape, Tensor, lerp, weighted_sum
@@ -124,6 +124,27 @@ def test_adam_global_norm_clip():
     # sqrt(second moment), so both coordinates move by ~lr
     assert np.all(np.abs(params["w"].data) < 1.01)
     np.testing.assert_allclose(state.first["w"] / 0.1, [0.6, 0.8], atol=1e-12)
+
+
+def test_adam_clips_a_finite_gradient_whose_squares_overflow():
+    # its squared norm reads inf, which would make the clip factor 0 and drop the step
+    params = _toy_params({"w": [0.0, 0.0], "z": [0.0]})
+    params["w"].grad = np.array([1e200, -1e200])
+    params["z"].grad = np.array([1.0])
+    state = AdamState(params)
+    adam_step(params, state, lr=0.1, clip_norm=1.0)
+    np.testing.assert_allclose(state.first["w"] / 0.1, [math.sqrt(0.5), -math.sqrt(0.5)], rtol=1e-15)
+    np.testing.assert_allclose(state.first["z"] / 0.1, [math.sqrt(0.5) * 1e-200], rtol=1e-15)
+    np.testing.assert_allclose(params["w"].data, [-0.1, 0.1], rtol=1e-7)  # ADAM_EPS shortens it by 1.4e-8
+    # the same direction at a norm that does not overflow takes the same step
+    small = _toy_params({"w": [0.0, 0.0], "z": [0.0]})
+    small["w"].grad = np.array([1e100, -1e100])
+    small["z"].grad = np.array([1e-100])
+    small_state = AdamState(small)
+    adam_step(small, small_state, lr=0.1, clip_norm=1.0)
+    for name in ("w", "z"):
+        np.testing.assert_allclose(state.first[name], small_state.first[name], rtol=1e-15)
+        np.testing.assert_allclose(params[name].data, small[name].data, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +375,32 @@ def test_unsplit_training_is_the_plain_loop():
     assert live == [t.data.tobytes() for _, t in params.items()]
 
 
-@pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "inline"])
-def test_split_step_equals_the_unsplit_step(threaded):
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counting_forks(monkeypatch):
+    """Count the processes forked from now on; returns the list their pids are appended to."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _fork_fails():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("blas", ["1", None], ids=["forked", "inline"])
+def test_split_step_equals_the_unsplit_step(monkeypatch, blas):
+    _blas_threads(monkeypatch, blas)
     cfg, (batch,), features = _wide_setup()
     text, half = batch.text, batch.text.size // 2
     for part in (text.rows(slice(half)), text.rows(slice(half, None))):
@@ -367,7 +412,11 @@ def test_split_step_equals_the_unsplit_step(threaded):
     grads = {name: t.grad for name, t in params.items()}
     for _, t in params.items():
         t.grad = None
-    total, translation, frame = training._step_backward(batch, features, params, cfg, rngs, threaded)
+    with training._second_half_worker([batch], features, params, cfg, rngs[1]) as worker:
+        assert (worker is None) == (blas is None)
+        start = functools.partial(worker, 0) if worker else None
+        total, translation, frame = training._step_backward(batch, features, params, cfg, rngs, start)
+    _assert_no_child_left()
     assert total == pytest.approx(whole.total, rel=1e-14)
     assert translation == pytest.approx(whole.translation_loss, rel=1e-14)
     assert frame == pytest.approx(whole.frame_loss, rel=1e-14)
@@ -378,54 +427,38 @@ def test_split_step_equals_the_unsplit_step(threaded):
             assert np.abs(t.grad - grads[name]).max() <= 1e-12 * np.abs(grads[name]).max(), name
 
 
-def _counting_threads(monkeypatch):
-    """Count the threads started from now on; returns the list they are appended to."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return started
-
-
 def test_split_training_runs_bit_identical(monkeypatch):
-    # the BLAS setting only says whether the second half runs on a worker thread or after the first
+    # the BLAS setting and os.fork only say whether the second half runs in a worker process or after the first
     cfg, batches, features = _wide_setup(rows=2 * SPLIT_MIN_ROWS, dropout=0.1)
     tc = TrainConfig(max_steps=3, seed=2, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
-    started = _counting_threads(monkeypatch)
+    forks = _counting_forks(monkeypatch)
     _blas_threads(monkeypatch, "1")
     results = [train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc)]
-    assert len(started) == 3  # one worker a step
-    # again with both threads filling empty shared caches, switching as often as the interpreter can
-    monkeypatch.setattr(model, "_POSITION_TABLES", {})
-    model._causal_mask.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        results.append(train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc))
-    finally:
-        sys.setswitchinterval(interval)
-    for threads in (None, "2"):  # the halves one after the other on this thread
+    assert len(forks) == 1  # one worker for the whole call, reaped before it returns
+    _assert_no_child_left()
+    for threads in (None, "2"):  # the halves one after the other in this process
         _blas_threads(monkeypatch, threads)
         results.append(train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc))
-    assert len(started) == 6
+    _blas_threads(monkeypatch, "1")
+    # the split did run: unsplit, the second half's dropout masks come from the first stream; no fork then
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "SPLIT_MIN_ROWS", 2 * SPLIT_MIN_ROWS)
+        unsplit = train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc)
+    assert unsplit.metrics[0]["train_loss"] != results[0].metrics[0]["train_loss"]
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "fork", _fork_fails)
+    results.append(train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc))
     for result in results[1:]:
         for name, t in results[0].params.items():
             assert t.data.tobytes() == result.params[name].data.tobytes(), name
         assert results[0].metrics == result.metrics
-    # the split did run: unsplit, the second half's dropout masks come from the first stream
-    monkeypatch.setattr(training, "SPLIT_MIN_ROWS", 2 * SPLIT_MIN_ROWS)
-    unsplit = train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc)
-    assert unsplit.metrics[0]["train_loss"] != results[0].metrics[0]["train_loss"]
 
 
-@pytest.mark.parametrize("blas", ["1", None], ids=["threaded", "inline"])
-def test_split_step_failure_names_the_primitive_and_leaves_no_thread(monkeypatch, blas):
-    # a warning the worker raised would escape: the repository's test settings make it an error
+@pytest.mark.parametrize("blas", ["1", None], ids=["forked", "inline"])
+def test_split_step_failure_names_the_primitive_and_reaps_the_worker(monkeypatch, blas):
+    # a warning the worker raised would come back as its error: the repository's test settings make it one
     _blas_threads(monkeypatch, blas)
+    forks = _counting_forks(monkeypatch)
     cfg, batches, features = _wide_setup(rows=2 * SPLIT_MIN_ROWS)
     (batch,) = batches
     half = batch.text.size // 2
@@ -437,12 +470,27 @@ def test_split_step_failure_names_the_primitive_and_leaves_no_thread(monkeypatch
         both[vid] = np.full((3, 2), 1e308)
     both.pop(batch.video_ids[-1])  # the second half now fails with a KeyError instead
     tc = TrainConfig(max_steps=2, seed=0, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
-    threads = threading.active_count()
     for feats in (second, both):
         result = train(ModelParameters.build(cfg, seed=0), cfg, batches, batches, feats, tc)
         assert result.diverged and result.steps == 1
         assert result.diverged_reason == "attention_weights: non-finite values in output"
-        assert threading.active_count() == threads
+        _assert_no_child_left()
+    first = dict(features)
+    first.pop(batch.video_ids[0])
+    with pytest.raises(KeyError, match=repr(batch.video_ids[0])):
+        train(ModelParameters.build(cfg, seed=0), cfg, batches, batches, first, tc)
+    _assert_no_child_left()
+    assert len(forks) == (3 if blas else 0)
+
+
+def test_a_worker_that_ends_without_a_result_is_named_and_reaped(monkeypatch):
+    _blas_threads(monkeypatch, "1")
+    cfg, batches, features = _wide_setup(rows=2 * SPLIT_MIN_ROWS)
+    monkeypatch.setattr(training, "_second_half", lambda *_: os._exit(3))
+    tc = TrainConfig(max_steps=2, seed=0, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
+    with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
+        train(ModelParameters.build(cfg, seed=0), cfg, batches, batches, features, tc)
+    _assert_no_child_left()
 
 
 def test_train_requires_validation_batches():
