@@ -312,28 +312,6 @@ def _gradient_check_inputs(seed, d_model, frames):
     return cfg, params, batch, VideoFeatureBatch(rng.normal(size=(2, frames, 3)))
 
 
-def _forked(fn):
-    """Start ``fn()`` in a forked ``training._Child``; return ``wait(kill=False)``, which gives its value.
-
-    ``wait`` gives what ``_Child.answer`` gives, its value or the child's
-    error, and then stops the child, which is reaped in every case;
-    ``wait(kill=True)`` ends and reaps it unheard. Where ``os.fork`` is
-    missing or fails, ``wait`` runs ``fn`` in the calling process.
-    """
-    child = _Child.fork(lambda _: fn())
-    if child is None:
-        return lambda kill=False: None if kill else fn()
-    child.ask(None)
-
-    def wait(kill=False):
-        try:
-            return None if kill else child.answer()
-        finally:
-            child.stop()
-
-    return wait
-
-
 def gradient_check_full_loss(seed, d_model=8, frames=4):
     """Finite-difference check of the composed loss on one random tiny batch.
 
@@ -345,9 +323,11 @@ def gradient_check_full_loss(seed, d_model=8, frames=4):
     single check of ``forward_full`` over every parameter. A parameter that
     neither fusion nor the tail reads is skipped: its central difference is
     exactly 0 and its gradient ``None``, which reads as 0, so its error is 0.
-    The tail's check runs in a forked child (see ``_forked``) while this
-    process checks fusion's parameters; fusion's error is raised first, as
-    if the two ran one after the other.
+    The tail's check runs in a child made by ``training._Child.fork`` while
+    this process checks fusion's parameters; fusion's error is raised first,
+    as if the two ran one after the other, and the child is then stopped
+    unheard. Where ``os.fork`` is missing or fails, the child's in-process
+    stand-in runs the tail's check after fusion's.
     """
     cfg, params, batch, feats = _gradient_check_inputs(seed, d_model, frames)
     recorder = _ReadRecorder(params.tensors)
@@ -363,18 +343,18 @@ def gradient_check_full_loss(seed, d_model=8, frames=4):
     def tail(_):
         return decode_losses(fused, frame_attention, batch, feats, params, cfg)[1].loss
 
-    def tail_error():
+    def tail_error(_):
         decode_losses(fused, frame_attention, batch, feats, recorded, cfg)
         rest = {name: t for name, t in params.items() if name in recorder.read and name not in fusion}
         return check_gradients(tail, rest)
 
-    wait = _forked(tail_error)
+    child = _Child.fork(tail_error)
+    child.ask(None)
     try:
         fusion_error = check_gradients(full, fusion)
-    except BaseException:
-        wait(kill=True)
-        raise
-    return np.maximum(fusion_error, wait())
+        return np.maximum(fusion_error, child.answer())
+    finally:
+        child.stop()
 
 
 @dataclass

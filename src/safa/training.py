@@ -1,14 +1,15 @@
 """Optimizer, schedule, batching, training loop, and synthetic data.
 
 Steps run one after another. A batch of at least ``2 * SPLIT_MIN_ROWS``
-rows runs as two row halves; under one BLAS thread the second runs in a
-forked worker process while the first runs here, so that the step uses two
-CPUs, and otherwise right after the first. Dropout masks come from two
-counter-based Philox streams, one for whole batches and first halves, one
-for second halves; epoch shuffles come from a third. So the seed
-determines a run: two runs with the same seed and BLAS thread setting
-produce bit-identical parameters, and runs at other settings differ only
-in BLAS's rounding.
+rows runs as two row halves, and the second is handed to a child: under
+one BLAS thread a worker process forked by ``_Child.fork`` runs it while
+the first runs here, so that the step uses two CPUs; otherwise, or
+where ``os.fork`` is missing or fails, the in-process stand-in ``_Inline``
+runs it right after the first. Dropout masks come from two counter-based
+Philox streams, one for whole batches and first halves, one for second
+halves; epoch shuffles come from a third. So the seed determines a run:
+two runs with the same seed and BLAS thread setting produce bit-identical
+parameters, and runs at other settings differ only in BLAS's rounding.
 """
 
 import contextlib
@@ -247,27 +248,23 @@ def _second_half(batch, features, arrays, cfg, rng):
     return _losses(second), {name: t.grad for name, t in own.items()}
 
 
-def _step_backward(batch, features, params, cfg, rngs, start=None):
+def _step_backward(batch, features, params, cfg, rng, start):
     """Forward and backward of one training batch; returns its (total, translation, frame) losses.
 
     Below ``2 * SPLIT_MIN_ROWS`` rows the batch is one ``_backward`` with
-    ``rngs[0]``. Otherwise it runs as two row halves, both dividing by the
-    whole batch's counts, so that their losses and gradients sum to the
-    batch's. The first half runs here with ``rngs[0]`` on ``params``; the
-    second is ``_second_half`` with ``rngs[1]`` over the same values, and its
-    gradients are then added to the first's. ``start`` only says where the
-    second half runs: ``start()`` starts it in a worker while the first runs
-    here and returns a function that waits for its losses and gradients;
-    without ``start`` it runs here after the first. A half's numbers do not
-    depend on the process that runs it, so both give the same result. An
-    error of the first half leaves at once, and the caller stops the worker.
+    ``rng``. Otherwise it runs as two row halves, both dividing by the whole
+    batch's counts, so that their losses and gradients sum to the batch's.
+    ``start()`` hands the second half to ``_second_halves``' child and
+    returns a function that waits for its losses and gradients; meanwhile
+    the first half runs here with ``rng`` on ``params``. The second's
+    gradients are then added to the first's. An error of the first half
+    leaves at once, and the caller stops the child.
     """
     text, video_ids, half = batch.text, batch.video_ids, batch.text.size // 2
     if half < SPLIT_MIN_ROWS:
-        return _losses(_backward(text, video_ids, features, params, cfg, rngs[0]))
-    finish = start() if start else functools.partial(
-        _second_half, batch, features, {name: t.data for name, t in params.items()}, cfg, rngs[1])
-    first = _backward(text.rows(slice(half)), video_ids[:half], features, params, cfg, rngs[0],
+        return _losses(_backward(text, video_ids, features, params, cfg, rng))
+    finish = start()
+    first = _backward(text.rows(slice(half)), video_ids[:half], features, params, cfg, rng,
                       LossNormalizers.of(text.flags))
     losses, gradients = finish()
     for name, g in gradients.items():
@@ -279,14 +276,6 @@ def _step_backward(batch, features, params, cfg, rngs, start=None):
 _SIGKILL = 9  # POSIX fixes it; ``os`` names no signals, and ``signal`` is not otherwise loaded
 
 
-def _outcome(fn, *args):
-    """``(True, fn(*args))``, or ``(False, the exception it raised)`` for the caller to raise."""
-    try:
-        return True, fn(*args)
-    except BaseException as exc:
-        return False, exc
-
-
 def _serve(handle, request_fd, answer_fd):
     """The child's side of ``_Child``: answer each request in turn until the end message, then ``os._exit``."""
     status = 1
@@ -294,7 +283,10 @@ def _serve(handle, request_fd, answer_fd):
         with open(request_fd, "rb") as requests, open(answer_fd, "wb") as answers:
             # each message is (request,), and () at the end; a caller that died without one leaves EOFError
             while message := pickle.load(requests):
-                outcome = _outcome(handle, *message)
+                try:
+                    outcome = True, handle(*message)
+                except BaseException as exc:
+                    outcome = False, exc
                 try:
                     payload = pickle.dumps(outcome)
                     pickle.loads(payload)  # an exception whose constructor takes other arguments fails here
@@ -320,7 +312,8 @@ class _Child:
     leaves on its own, or ends it at once by SIGKILL while it owes an
     answer. The child leaves through ``os._exit``, so it never returns into
     the caller's stack, flushes the caller's stdio buffers or runs exit
-    handlers.
+    handlers. Where ``os.fork`` is missing or fails, ``fork`` returns an
+    ``_Inline`` stand-in instead, so a caller has one path either way.
     """
 
     def __init__(self, pid, requests, answers):
@@ -329,7 +322,7 @@ class _Child:
 
     @classmethod
     def fork(cls, handle):
-        """Start a child that serves ``handle``; None where ``os.fork`` is missing or fails."""
+        """Start a child that serves ``handle``; an ``_Inline(handle)`` where ``os.fork`` is missing or fails."""
         request_read, request_write = os.pipe()
         answer_read, answer_write = os.pipe()
         try:
@@ -337,7 +330,7 @@ class _Child:
         except (AttributeError, OSError):
             for fd in (request_read, request_write, answer_read, answer_write):
                 os.close(fd)
-            return None
+            return _Inline(handle)
         if pid == 0:
             os.close(request_write)
             os.close(answer_read)
@@ -382,27 +375,39 @@ class _Child:
         self._answers.close()
 
 
-@contextlib.contextmanager
-def _second_half_worker(batches, features, params, cfg, rng):
-    """Yield ``start(index)``, which runs the second half of split ``batches[index]`` in a forked worker, or None.
+class _Inline:
+    """``_Child``'s stand-in: ``answer`` runs ``handle`` here on the oldest request, raising its error as is."""
 
-    The worker is forked here once and serves every split step of one
-    ``train`` call. Its tensors lie over the parameter values in an
-    anonymous shared mapping made before the fork: ``start`` copies
-    ``params``' values into it, sends the index and returns a function that
-    waits for the half's losses and gradients (see ``_second_half``), which
-    the worker writes back into the mapping, and a mask of those it has.
-    The worker inherits ``rng`` and is the only process that draws from it.
-    It is reaped when the ``with`` block ends, however it ends: killed if
-    it is still running a half, as after an error of the first.
-    None, so that the second half runs after the first in this process,
-    when no batch splits, when BLAS runs other than one thread (two halves
-    at once would oversubscribe the CPUs with their BLAS threads), or where
-    ``os.fork`` is missing or fails.
+    def __init__(self, handle):
+        self._handle, self._queued = handle, []
+
+    def ask(self, request):
+        self._queued.append(request)
+
+    def answer(self):
+        return self._handle(self._queued.pop(0))
+
+    def stop(self):
+        self._queued.clear()  # a request not yet answered never runs
+
+
+@contextlib.contextmanager
+def _second_halves(batches, features, params, cfg, rng):
+    """Yield ``start(index)``, which hands the second half of split ``batches[index]`` to a child.
+
+    One child serves every split step of one ``train`` call; its tensors lie
+    over the parameter values in an anonymous shared mapping. ``start``
+    copies ``params``' values into it, asks for the index and returns a
+    function that waits for the half's losses and gradients (see
+    ``_second_half``), which the child writes back into the mapping, and a
+    mask of those it has. Only the child draws from ``rng``. When some batch
+    splits and BLAS runs one thread, ``_Child.fork`` forks it after the
+    mapping is made; otherwise it is an ``_Inline``, as where ``os.fork`` is
+    missing or fails (at other BLAS settings two halves at once would
+    oversubscribe the CPUs with their BLAS threads). It is stopped when the
+    ``with`` block ends, however it ends: killed if it still runs a half, as
+    after an error of the first.
     """
-    if blas_threads() != 1 or all(b.text.size // 2 < SPLIT_MIN_ROWS for b in batches):
-        yield None
-        return
     total = sum(t.data.size for _, t in params.items())
     shared = np.frombuffer(mmap.mmap(-1, 2 * total * 8))  # float64 values, then float64 gradients
     cuts = np.cumsum([t.data.size for _, t in params.items()])[:-1]
@@ -419,10 +424,8 @@ def _second_half_worker(batches, features, params, cfg, rng):
                 gradients[name][...] = g
         return losses, [g is not None for g in grads.values()]
 
-    child = _Child.fork(second_half)
-    if child is None:
-        yield None
-        return
+    splits = any(b.text.size // 2 >= SPLIT_MIN_ROWS for b in batches)
+    child = _Child.fork(second_half) if splits and blas_threads() == 1 else _Inline(second_half)
 
     def start(index):
         for name, t in params.items():
@@ -464,14 +467,14 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     ``checkpoint_callback(step, params)`` fires every ``checkpoint_every``
     steps when that cadence is set. Under one BLAS thread a call whose
     batches split forks one worker for their second halves, and reaps it
-    before it returns or raises (see ``_second_half_worker``).
+    before it returns or raises (see ``_second_halves``).
     """
     if not val_batches:
         raise ValueError("validation set must be non-empty")
     tc = train_config
-    # the second dropout stream serves only the second half of a split batch, in the worker when there is one
-    dropout_rngs = (np.random.Generator(np.random.Philox(tc.seed)),
-                    np.random.Generator(np.random.Philox([tc.seed, 3])))
+    # whole batches and first halves draw dropout from the first stream, second halves from the second
+    dropout_rng = np.random.Generator(np.random.Philox(tc.seed))
+    second_rng = np.random.Generator(np.random.Philox([tc.seed, 3]))
     order_rng = np.random.Generator(np.random.Philox([tc.seed, 1]))
     state = AdamState(params)
     metrics = []
@@ -480,16 +483,16 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     bad_evals = 0
     step = 0
     last_step = tc.max_steps or math.inf
-    with _second_half_worker(train_batches, features, params, cfg, dropout_rngs[1]) as worker:
+    with _second_halves(train_batches, features, params, cfg, second_rng) as start:
         for _epoch in range(tc.max_epochs):
             order = order_rng.permutation(len(train_batches))
             for index in order:
                 batch = train_batches[index]
                 step += 1
                 lr = lr_at_step(step, tc.schedule)
-                start = functools.partial(worker, index) if worker else None
                 try:
-                    total, translation, frame = _step_backward(batch, features, params, cfg, dropout_rngs, start)
+                    total, translation, frame = _step_backward(batch, features, params, cfg, dropout_rng,
+                                                               functools.partial(start, index))
                     if not math.isfinite(total):
                         raise NonFiniteGradientError("training loss is not finite")
                     adam_step(params, state, lr, tc.clip_norm)

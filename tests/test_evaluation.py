@@ -472,7 +472,10 @@ def test_gradient_check_sends_an_unpicklable_tail_error_as_a_runtime_error(monke
     _assert_no_child_left()
 
 
-def test_gradient_check_raises_the_fusion_error_first_and_kills_the_tail(monkeypatch):
+@pytest.mark.parametrize("fork", [os.fork, _fork_fails], ids=["forked", "inline"])
+def test_gradient_check_raises_the_fusion_error_first_and_kills_the_tail(monkeypatch, fork):
+    # inline, the queued tail is dropped unrun
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(evaluation, "forward_full", _raise(ValueError("fusion failed")))
     monkeypatch.setattr(evaluation, "decode_losses", lambda *_: time.sleep(60))
     start = time.monotonic()

@@ -401,6 +401,7 @@ def _fork_fails():
 @pytest.mark.parametrize("blas", ["1", None], ids=["forked", "inline"])
 def test_split_step_equals_the_unsplit_step(monkeypatch, blas):
     _blas_threads(monkeypatch, blas)
+    forks = _counting_forks(monkeypatch)
     cfg, (batch,), features = _wide_setup()
     text, half = batch.text, batch.text.size // 2
     for part in (text.rows(slice(half)), text.rows(slice(half, None))):
@@ -412,10 +413,10 @@ def test_split_step_equals_the_unsplit_step(monkeypatch, blas):
     grads = {name: t.grad for name, t in params.items()}
     for _, t in params.items():
         t.grad = None
-    with training._second_half_worker([batch], features, params, cfg, rngs[1]) as worker:
-        assert (worker is None) == (blas is None)
-        start = functools.partial(worker, 0) if worker else None
-        total, translation, frame = training._step_backward(batch, features, params, cfg, rngs, start)
+    with training._second_halves([batch], features, params, cfg, rngs[1]) as start:
+        total, translation, frame = training._step_backward(batch, features, params, cfg, rngs[0],
+                                                            functools.partial(start, 0))
+    assert len(forks) == (1 if blas else 0)
     _assert_no_child_left()
     assert total == pytest.approx(whole.total, rel=1e-14)
     assert translation == pytest.approx(whole.translation_loss, rel=1e-14)
@@ -469,16 +470,28 @@ def test_split_step_failure_names_the_primitive_and_reaps_the_worker(monkeypatch
     for vid in batch.video_ids[:half]:
         both[vid] = np.full((3, 2), 1e308)
     both.pop(batch.video_ids[-1])  # the second half now fails with a KeyError instead
+    # counts the second halves run in this process, so none when forked; inline, none after an error of the first
+    halves, second_half = [], training._second_half
+
+    def counted(*args):
+        halves.append(args)
+        return second_half(*args)
+
+    monkeypatch.setattr(training, "_second_half", counted)
     tc = TrainConfig(max_steps=2, seed=0, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
-    for feats in (second, both):
+    for feats, inline_halves in ((second, 1), (both, 0)):
+        halves.clear()
         result = train(ModelParameters.build(cfg, seed=0), cfg, batches, batches, feats, tc)
         assert result.diverged and result.steps == 1
         assert result.diverged_reason == "attention_weights: non-finite values in output"
+        assert len(halves) == (0 if blas else inline_halves)
         _assert_no_child_left()
+    halves.clear()
     first = dict(features)
     first.pop(batch.video_ids[0])
     with pytest.raises(KeyError, match=repr(batch.video_ids[0])):
         train(ModelParameters.build(cfg, seed=0), cfg, batches, batches, first, tc)
+    assert halves == []
     _assert_no_child_left()
     assert len(forks) == (3 if blas else 0)
 
