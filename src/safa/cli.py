@@ -1,8 +1,10 @@
 """Command-line interface: corpus pipeline, training, decoding, evaluation.
 
-Every subcommand but ``bleu`` writes a manifest sidecar before its outputs
-(command line, resolved options, seed, BLAS threads, input digests, tool
-version; no timestamps), and none mutates its inputs. The commands with
+Every subcommand that writes a file writes a manifest sidecar before its
+outputs (command line, resolved options, seed, BLAS threads, input digests,
+tool version; no timestamps): all but ``bleu`` and ``grad-check``, which
+only print, and ``pipeline alpha`` only when given --out. None mutates its
+inputs. The commands with
 randomness (``synth``, ``train``, ``ablate``, ``grad-check`` and ``pipeline
 splits``) take all of it from --seed; the other pipeline stages accept
 --seed and ignore it, and ``decode``, ``attn-dump`` and ``bleu`` have none.

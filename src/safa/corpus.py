@@ -126,11 +126,9 @@ class VoteRecord:
 
 @dataclass
 class Vocabulary:
-    tokens: list = field(default_factory=lambda: list(RESERVED_TOKENS))
+    tokens: list = field(default_factory=lambda: list(RESERVED_TOKENS))  # the reserved tokens first
 
     def __post_init__(self):
-        if self.tokens[:4] != list(RESERVED_TOKENS):
-            self.tokens = list(RESERVED_TOKENS) + self.tokens
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
 
     def __len__(self):

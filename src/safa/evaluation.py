@@ -338,10 +338,10 @@ def gradient_check_full_loss(seed, d_model=8, frames=4):
 
     # both read the perturbed entries through ``params``, which holds the same tensors
     def full(_):
-        return forward_full(batch, feats, params, cfg)[1].loss
+        return forward_full(batch, feats, params, cfg).loss
 
     def tail(_):
-        return decode_losses(fused, frame_attention, batch, feats, params, cfg)[1].loss
+        return decode_losses(fused, frame_attention, batch, feats, params, cfg).loss
 
     def tail_error(_):
         decode_losses(fused, frame_attention, batch, feats, recorded, cfg)
@@ -397,6 +397,9 @@ def run_synthetic_experiment(exp, variants=None):
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ValueError(f"unknown ablation variant {variant!r}")
+    for name, count in (("n_train", exp.n_train), ("n_val", exp.n_val), ("n_test", exp.n_test)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     (train_records, val_records, test_records), features, flags = synthetic_splits(
         exp.n_train, exp.n_val, exp.n_test, exp.frames, exp.feature_dim, seed=exp.seed, bump=exp.bump,
     )

@@ -9,7 +9,7 @@ group reweighting of possibly-ambiguous samples.
 
 import functools
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -103,15 +103,34 @@ class ModelConfig:
         return cls(**kwargs)
 
 
+class LossNormalizers(NamedTuple):
+    """The whole batch's counts that divide each sample's share of the loss.
+
+    A batch's rows taken in parts (``TextBatch.rows``) keep the whole
+    batch's counts, so that the parts' losses and gradients sum to the batch's.
+    """
+
+    rows: int
+    ambiguous: int
+    unambiguous: int
+
+    @classmethod
+    def of(cls, flags):
+        flags = np.asarray(flags, dtype=bool)
+        ambiguous = int(flags.sum())
+        return cls(flags.size, ambiguous, int(flags.size - ambiguous))
+
+
 @dataclass
 class TextBatch:
-    """Token-id matrices with padding masks (True marks a real token)."""
+    """Token-id matrices with padding masks (True marks a real token), and the counts its losses divide by."""
 
     src: np.ndarray          # (B, S) int
     src_mask: np.ndarray     # (B, S) bool
     tgt: np.ndarray          # (B, T) int, bos ... eos then padding
     tgt_mask: np.ndarray     # (B, T) bool
     flags: np.ndarray        # (B,) bool, possibly-ambiguous markers
+    norms: LossNormalizers = field(init=False)  # the counts of ``flags``, or of the batch ``rows`` came from
 
     def __post_init__(self):
         b = self.src.shape[0]
@@ -119,15 +138,18 @@ class TextBatch:
             raise ValueError("padding masks must match their id matrices")
         if self.flags.shape != (b,):
             raise ValueError(f"flags must have shape ({b},), got {self.flags.shape}")
+        self.norms = LossNormalizers.of(self.flags)
 
     @property
     def size(self):
         return self.src.shape[0]
 
     def rows(self, index):
-        """The batch of the rows the slice ``index`` selects."""
-        return TextBatch(self.src[index], self.src_mask[index], self.tgt[index], self.tgt_mask[index],
+        """The batch of the rows the slice ``index`` selects, dividing by this batch's ``norms``."""
+        part = TextBatch(self.src[index], self.src_mask[index], self.tgt[index], self.tgt_mask[index],
                          self.flags[index])
+        part.norms = self.norms
+        return part
 
 
 @dataclass
@@ -154,37 +176,10 @@ class VideoFeatureBatch:
 
 
 @dataclass
-class ModelOutput:
-    logits: Tensor            # (B, T-1, |V_tgt|)
-    frame_attention: Tensor   # (B, S, M)
-    gate: Tensor              # (B, S, d_model)
-
-
-class LossNormalizers(NamedTuple):
-    """The whole batch's counts that divide each sample's share of the loss.
-
-    A step that runs a batch's rows in parts hands every part the whole
-    batch's counts, so that the parts' losses and gradients sum to the batch's.
-    """
-
-    rows: int
-    ambiguous: int
-    unambiguous: int
-
-    @classmethod
-    def of(cls, flags):
-        flags = np.asarray(flags, dtype=bool)
-        ambiguous = int(flags.sum())
-        return cls(flags.size, ambiguous, int(flags.size - ambiguous))
-
-
-@dataclass
 class BatchLossBreakdown:
     translation_loss: float   # group-weighted translation term
     frame_loss: float         # KL toward the Gaussian frame target, in nats
     total: float
-    ambiguous_count: int      # the normalizers' counts: the whole batch's
-    unambiguous_count: int
     loss: Tensor              # differentiable total, for backward
 
 
@@ -552,29 +547,25 @@ def gaussian_target(frames, halfwidth, mean, std, temperature):
     return target
 
 
-def frame_attention_loss(frame_attention, target, mask, norms=None):
-    """Mean KL(attention row || target) in nats over unmasked tokens, then over the batch's rows.
-
-    The rows counted are ``norms.rows`` when ``norms`` is given, else the B of ``mask``.
-    """
+def frame_attention_loss(frame_attention, target, mask, rows):
+    """Mean KL(attention row || target) in nats over unmasked tokens, summed over the rows, divided by ``rows``."""
     kl = T.kl_divergence(frame_attention, target)  # (B, S)
-    return T.weighted_sum(kl, _mean_weights(mask, "source") / (mask.shape[0] if norms is None else norms.rows))
+    return T.weighted_sum(kl, _mean_weights(mask, "source") / rows)
 
 
-def total_loss(per_sample_losses, flags, frame_loss, cfg, norms=None):
+def total_loss(per_sample_losses, flags, frame_loss, cfg, norms):
     """Combine group-weighted translation losses with the frame-attention term.
 
     The possibly-ambiguous group's mean is multiplied by ambiguity_weight: a
     sample weighs ambiguity_weight / n_ambiguous if flagged, 1 / n_unambiguous
-    if not. With no flagged samples the translation term is the batch mean.
-    The group sizes are ``norms``' counts, by default those of ``flags``.
+    if not, with the group sizes ``norms``' counts (``LossNormalizers``). With
+    no flagged samples the translation term is the batch mean.
     """
     flags = np.asarray(flags, dtype=bool)
     if flags.shape != per_sample_losses.data.shape:
         raise T.ShapeError(
             f"flags shape {flags.shape} != per-sample losses shape {per_sample_losses.data.shape}"
         )
-    norms = norms or LossNormalizers.of(flags)
     weights = np.where(flags, cfg.ambiguity_weight, 1.0) / np.where(flags, norms.ambiguous, norms.unambiguous)
     translation = T.weighted_sum(per_sample_losses, weights)
     total = T.add(translation, T.scale(frame_loss, cfg.frame_loss_weight))
@@ -582,18 +573,12 @@ def total_loss(per_sample_losses, flags, frame_loss, cfg, norms=None):
         translation_loss=translation.item(),
         frame_loss=frame_loss.item(),
         total=total.item(),
-        ambiguous_count=norms.ambiguous,
-        unambiguous_count=norms.unambiguous,
         loss=total,
     )
 
 
-def decode_losses(fused, frame_attention, batch, features, p, cfg, training=False, rng=None, norms=None):
-    """The forward after fusion: decode the fused sources and score both losses.
-
-    ``norms`` are the counts that divide the losses (``LossNormalizers``),
-    by default the batch's own. Returns (logits, breakdown).
-    """
+def decode_losses(fused, frame_attention, batch, features, p, cfg, training=False, rng=None):
+    """The forward after fusion: decode the fused sources and score both losses, divided by ``batch.norms``."""
     logits = decode(
         fused, batch.tgt[:, :-1], batch.tgt_mask[:, :-1], batch.src_mask, p, cfg, training, rng
     )
@@ -607,14 +592,13 @@ def decode_losses(fused, frame_attention, batch, features, p, cfg, training=Fals
         cfg.gaussian_std,
         cfg.temperature,
     )
-    frame_loss = frame_attention_loss(frame_attention, target, batch.src_mask, norms)
-    return logits, total_loss(per_sample, batch.flags, frame_loss, cfg, norms)
+    frame_loss = frame_attention_loss(frame_attention, target, batch.src_mask, batch.norms.rows)
+    return total_loss(per_sample, batch.flags, frame_loss, cfg, batch.norms)
 
 
-def forward_full(batch, features, p, cfg, training=False, rng=None, norms=None):
-    """Full forward pass: ``fuse_sources``, then ``decode_losses``."""
+def forward_full(batch, features, p, cfg, training=False, rng=None):
+    """Full forward pass: ``fuse_sources``, then ``decode_losses``; returns the ``BatchLossBreakdown``."""
     if training and cfg.dropout > 0 and rng is None:
         raise ValueError("training mode with dropout needs an rng")
-    fused, frame_attention, gate = fuse_sources(batch, features, p, cfg, training, rng)
-    logits, breakdown = decode_losses(fused, frame_attention, batch, features, p, cfg, training, rng, norms)
-    return ModelOutput(logits=logits, frame_attention=frame_attention, gate=gate), breakdown
+    fused, frame_attention, _gate = fuse_sources(batch, features, p, cfg, training, rng)
+    return decode_losses(fused, frame_attention, batch, features, p, cfg, training, rng)

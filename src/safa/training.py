@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, SubtitleRecord, pad_rows
-from .model import LossNormalizers, ModelParameters, TextBatch, VideoFeatureBatch, forward_full
+from .model import ModelParameters, TextBatch, VideoFeatureBatch, forward_full
 from .tensor import Tape, Tensor, _accumulate, all_finite
 
 
@@ -191,7 +191,7 @@ def evaluate_loss(params, cfg, batches, features):
     total, count = 0.0, 0
     for batch in batches:
         features_batch = VideoFeatureBatch.stack(batch.video_ids, features)
-        _, breakdown = forward_full(batch.text, features_batch, params, cfg)
+        breakdown = forward_full(batch.text, features_batch, params, cfg)
         total += breakdown.total * batch.text.size
         count += batch.text.size
     return total / count
@@ -219,18 +219,16 @@ def blas_threads():
 SPLIT_MIN_ROWS = 128
 
 
-def _backward(text, video_ids, features, params, cfg, rng, norms=None):
-    """Forward and backward of one batch's rows; the gradients land on ``params``. Returns the breakdown."""
+def _backward(text, video_ids, features, params, cfg, rng):
+    """Forward and backward of one batch's rows; the gradients land on ``params``.
+
+    Returns the (total, translation, frame) losses, divided by ``text.norms``.
+    """
     with Tape() as tape:
-        _, breakdown = forward_full(
-            text, VideoFeatureBatch.stack(video_ids, features), params, cfg,
-            training=True, rng=rng, norms=norms,
+        breakdown = forward_full(
+            text, VideoFeatureBatch.stack(video_ids, features), params, cfg, training=True, rng=rng
         )
         tape.backward(breakdown.loss)
-    return breakdown
-
-
-def _losses(breakdown):
     return breakdown.total, breakdown.translation_loss, breakdown.frame_loss
 
 
@@ -243,9 +241,8 @@ def _second_half(batch, features, arrays, cfg, rng):
     """
     text, half = batch.text, batch.text.size // 2
     own = ModelParameters({name: Tensor(data, requires_grad=True) for name, data in arrays.items()})
-    second = _backward(text.rows(slice(half, None)), batch.video_ids[half:], features, own, cfg, rng,
-                       LossNormalizers.of(text.flags))
-    return _losses(second), {name: t.grad for name, t in own.items()}
+    losses = _backward(text.rows(slice(half, None)), batch.video_ids[half:], features, own, cfg, rng)
+    return losses, {name: t.grad for name, t in own.items()}
 
 
 def _step_backward(batch, features, params, cfg, rng, start):
@@ -262,15 +259,14 @@ def _step_backward(batch, features, params, cfg, rng, start):
     """
     text, video_ids, half = batch.text, batch.video_ids, batch.text.size // 2
     if half < SPLIT_MIN_ROWS:
-        return _losses(_backward(text, video_ids, features, params, cfg, rng))
+        return _backward(text, video_ids, features, params, cfg, rng)
     finish = start()
-    first = _backward(text.rows(slice(half)), video_ids[:half], features, params, cfg, rng,
-                      LossNormalizers.of(text.flags))
+    first = _backward(text.rows(slice(half)), video_ids[:half], features, params, cfg, rng)
     losses, gradients = finish()
     for name, g in gradients.items():
         if g is not None:
             _accumulate(params[name], g)
-    return tuple(a + b for a, b in zip(_losses(first), losses))
+    return tuple(a + b for a, b in zip(first, losses))
 
 
 _SIGKILL = 9  # POSIX fixes it; ``os`` names no signals, and ``signal`` is not otherwise loaded
@@ -469,6 +465,8 @@ def train(params, cfg, train_batches, val_batches, features, train_config,
     batches split forks one worker for their second halves, and reaps it
     before it returns or raises (see ``_second_halves``).
     """
+    if not train_batches:
+        raise ValueError("training set must be non-empty")
     if not val_batches:
         raise ValueError("validation set must be non-empty")
     tc = train_config

@@ -35,9 +35,11 @@ from safa.evaluation import (
     variant_config,
 )
 from safa.model import (
+    LossNormalizers,
     ModelConfig,
     ModelParameters,
-    forward_full,
+    decode,
+    fuse_sources,
     gaussian_target,
     total_loss,
 )
@@ -119,12 +121,10 @@ def test_criterion_02_overfit_sanity():
     from safa.model import VideoFeatureBatch, label_smoothed_loss
 
     for batch in batches:
-        out, _ = forward_full(
-            batch.text, VideoFeatureBatch.stack(batch.video_ids, features), result.params, cfg
-        )
-        per_sample = label_smoothed_loss(
-            out.logits, batch.text.tgt[:, 1:], batch.text.tgt_mask[:, 1:], 0.0
-        )
+        text = batch.text
+        fused, _, _ = fuse_sources(text, VideoFeatureBatch.stack(batch.video_ids, features), result.params, cfg)
+        logits = decode(fused, text.tgt[:, :-1], text.tgt_mask[:, :-1], text.src_mask, result.params, cfg)
+        per_sample = label_smoothed_loss(logits, text.tgt[:, 1:], text.tgt_mask[:, 1:], 0.0)
         counts = batch.text.tgt_mask[:, 1:].sum(axis=1)
         total_nll += float((per_sample.data * counts).sum())
         total_tokens += int(counts.sum())
@@ -258,7 +258,8 @@ def test_criterion_05_ambiguity_arithmetic():
             src_vocab_size=8, tgt_vocab_size=8, video_feature_dim=4,
             ambiguity_weight=weight, frame_loss_weight=gamma,
         )
-        breakdown = total_loss(Tensor(np.array(losses)), np.array(flags), Tensor(frame), cfg)
+        breakdown = total_loss(Tensor(np.array(losses)), np.array(flags), Tensor(frame), cfg,
+                               LossNormalizers.of(flags))
         expected = closed_form(losses, flags, weight, gamma, frame)
         worst = max(worst, abs(breakdown.total - expected))
         checks.append(abs(breakdown.total - expected) <= 1e-12)
@@ -266,6 +267,7 @@ def test_criterion_05_ambiguity_arithmetic():
         Tensor(np.array([1.0, 3.0])), np.array([True, False]), Tensor(0.4),
         ModelConfig(src_vocab_size=8, tgt_vocab_size=8, video_feature_dim=4,
                     ambiguity_weight=2.0, frame_loss_weight=0.5),
+        LossNormalizers(2, 1, 1),
     )
     checks.append(abs(hand.total - 5.2) <= 1e-12)
     ok = all(checks)
@@ -317,20 +319,6 @@ def test_criterion_06_gaussian_target():
 # ---------------------------------------------------------------------------
 
 
-def _brute_force_sets(records):
-    out = {}
-    for r in records:
-        src = normalize_text(r.source_text)
-        targets = {
-            normalize_text(q.target_text)
-            for q in records
-            if normalize_text(q.source_text) == src
-        }
-        if len(targets) >= 2:
-            out[src] = targets
-    return out
-
-
 def _traced_selection(targets, cross, pair_sim, threshold, schedule):
     """Independent straight trace of the relaxation procedure."""
     for level in schedule:
@@ -347,7 +335,7 @@ def _traced_selection(targets, cross, pair_sim, threshold, schedule):
     return None
 
 
-def test_criterion_07_pipeline_oracles():
+def test_criterion_07_pipeline_oracles(brute_force_sets):
     sets_ok = True
     flags_ok = True
     for seed in range(100):
@@ -363,7 +351,7 @@ def test_criterion_07_pipeline_oracles():
         ]
         sets = collect_translation_sets(records)
         got = {s.source_text: set(s.target_texts) for s in sets}
-        sets_ok &= got == _brute_force_sets(records)
+        sets_ok &= got == brute_force_sets(records)
         flags = flag_ambiguous_samples(records, sets)
         expected_flags = {
             r.id: normalize_text(r.source_text) in got for r in records

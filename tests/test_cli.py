@@ -775,9 +775,10 @@ _SMALL_DATASET = ["--n-train", "8", "--n-val", "4", "--n-test", "4", "--frames",
     (["--patience", "0"], "--patience"), (["--max-steps", "-1"], "--max-steps"),
     (["--dropout", "1.5"], "--dropout"), (["--frames", "0"], "--frames"),
     (["--lr-peak", "0"], "--lr-peak"), (["--feature-dim", "1"], "--feature-dim"),
-    (["--n-test", "-4"], "--n-test"),
+    (["--n-test", "-4"], "--n-test"), (["--n-train", "0"], "--n-train"), (["--n-val", "0"], "--n-val"),
+    (["--n-test", "0"], "--n-test"),
 ], ids=["patience-zero", "max-steps-negative", "dropout-above-one", "frames-zero", "lr-peak-zero",
-        "feature-dim-one", "n-test-negative"])
+        "feature-dim-one", "n-test-negative", "n-train-zero", "n-val-zero", "n-test-zero"])
 def test_ablate_bad_flags_exit_one_before_the_manifest(tmp_path, capsys, flags, named):
     out = tmp_path / "t.csv"
     assert _run("ablate", "--out", out, *_SMALL_DATASET, *flags) == 1
@@ -823,8 +824,7 @@ def test_train_divergence_prints_reason(tmp_path, monkeypatch, capsys):
     real = training.forward_full
 
     def non_finite_loss(*args, **kwargs):
-        output, breakdown = real(*args, **kwargs)
-        return output, replace(breakdown, total=float("nan"))
+        return replace(real(*args, **kwargs), total=float("nan"))
 
     monkeypatch.setattr(training, "forward_full", non_finite_loss)
     synth_dir = tmp_path / "synth"

@@ -139,21 +139,7 @@ def test_translation_sets_normalization():
     assert sets[0].source_text == normalize_text("café")
 
 
-def _brute_force_sets(records):
-    out = {}
-    for r in records:
-        src = normalize_text(r.source_text)
-        targets = {
-            normalize_text(q.target_text)
-            for q in records
-            if normalize_text(q.source_text) == src
-        }
-        if len(targets) >= 2:
-            out[src] = targets
-    return out
-
-
-def test_translation_sets_match_brute_force_oracle():
+def test_translation_sets_match_brute_force_oracle(brute_force_sets):
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 200))
@@ -162,7 +148,7 @@ def test_translation_sets_match_brute_force_oracle():
             for i in range(n)
         ]
         got = {s.source_text: set(s.target_texts) for s in collect_translation_sets(records)}
-        assert got == _brute_force_sets(records)
+        assert got == brute_force_sets(records)
 
 
 def test_removing_a_record_never_adds_a_set():

@@ -345,7 +345,7 @@ def test_gradient_check_equals_one_check_of_forward_full(seed):
     cfg, params, batch, feats = _gradient_check_inputs(seed, 8, 4)
 
     def fn(tensors):
-        return forward_full(batch, feats, ModelParameters(tensors), cfg)[1].loss
+        return forward_full(batch, feats, ModelParameters(tensors), cfg).loss
 
     oracle = check_gradients(fn, params.tensors)
     assert repr(gradient_check_full_loss(seed, d_model=8, frames=4)) == repr(oracle)
@@ -375,7 +375,7 @@ def test_fuse_sources_ignores_every_parameter_it_does_not_read():
 def test_the_loss_ignores_every_parameter_neither_half_reads():
     cfg, params, batch, feats = _gradient_check_inputs(7, 8, 4)
     recorder = _ReadRecorder(params.tensors)
-    reference = forward_full(batch, feats, ModelParameters(recorder), cfg)[1].loss.item()
+    reference = forward_full(batch, feats, ModelParameters(recorder), cfg).loss.item()
     unread = [name for name in params.tensors if name not in recorder.read]
     assert sorted(unread) == ["decoder.0.cross_attn.bk", "decoder.0.self_attn.bk", "encoder.0.self_attn.bk"]
     assert sum(params[name].data.size for name in unread) == 24
@@ -384,21 +384,13 @@ def test_the_loss_ignores_every_parameter_neither_half_reads():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + 1.0
-            loss = forward_full(batch, feats, params, cfg)[1].loss.item()
+            loss = forward_full(batch, feats, params, cfg).loss.item()
             flat[i] = orig
             assert loss == reference, (name, i)
 
 
-def _fork_fails(*_):
-    raise OSError("fork refused")
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_gradient_check_fuses_once_for_the_parameters_fusion_does_not_read(monkeypatch):
+def test_gradient_check_fuses_once_for_the_parameters_fusion_does_not_read(monkeypatch, assert_no_child_left,
+                                                                           fork_fails):
     # Fusion reads 808 entries: 3 + 2 * 808 full forwards, plus the one recording fusion.
     # The tail reads 1016 of the other 1040: one tail records its reads, then 3 + 2 * 1016
     # tails on the fused sources. Each check's 3 are two determinism calls and one taped
@@ -421,28 +413,28 @@ def test_gradient_check_fuses_once_for_the_parameters_fusion_does_not_read(monke
     forked = gradient_check_full_loss(7, d_model=8, frames=4)
     assert forked < 1e-3
     assert calls == {"fuse_sources": 1620, "decode": 1619}
-    _assert_no_child_left()
+    assert_no_child_left()
     calls.update(fuse_sources=0, decode=0)
-    monkeypatch.setattr(os, "fork", _fork_fails)
+    monkeypatch.setattr(os, "fork", fork_fails)
     assert repr(gradient_check_full_loss(7, d_model=8, frames=4)) == repr(forked)
     assert calls == {"fuse_sources": 1620, "decode": 3655}
 
 
-def test_gradient_check_without_fork_equals_one_check_of_forward_full(monkeypatch):
+def test_gradient_check_without_fork_equals_one_check_of_forward_full(monkeypatch, fork_fails):
     cfg, params, batch, feats = _gradient_check_inputs(0, 8, 4)
 
     def fn(tensors):
-        return forward_full(batch, feats, ModelParameters(tensors), cfg)[1].loss
+        return forward_full(batch, feats, ModelParameters(tensors), cfg).loss
 
     oracle = repr(check_gradients(fn, params.tensors))
-    monkeypatch.setattr(os, "fork", _fork_fails)
+    monkeypatch.setattr(os, "fork", fork_fails)
     assert repr(gradient_check_full_loss(0, d_model=8, frames=4)) == oracle
     monkeypatch.delattr(os, "fork")
     assert repr(gradient_check_full_loss(0, d_model=8, frames=4)) == oracle
 
 
 def _constant_loss(*_):
-    return None, SimpleNamespace(loss=Tensor(0.0))
+    return SimpleNamespace(loss=Tensor(0.0))
 
 
 def _raise(error):
@@ -452,16 +444,16 @@ def _raise(error):
     return raising
 
 
-def test_gradient_check_raises_the_forked_tail_error(monkeypatch):
+def test_gradient_check_raises_the_forked_tail_error(monkeypatch, assert_no_child_left):
     # the fusion half reads a constant loss, so only the tail can fail
     monkeypatch.setattr(evaluation, "forward_full", _constant_loss)
     monkeypatch.setattr(evaluation, "decode_losses", _raise(NumericError("tail: non-finite values")))
     with pytest.raises(NumericError, match="^tail: non-finite values$"):
         gradient_check_full_loss(0, d_model=8, frames=4)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-def test_gradient_check_sends_an_unpicklable_tail_error_as_a_runtime_error(monkeypatch):
+def test_gradient_check_sends_an_unpicklable_tail_error_as_a_runtime_error(monkeypatch, assert_no_child_left):
     class Unpicklable(Exception):
         pass  # defined in a function, so pickle cannot find its class
 
@@ -469,28 +461,30 @@ def test_gradient_check_sends_an_unpicklable_tail_error_as_a_runtime_error(monke
     monkeypatch.setattr(evaluation, "decode_losses", _raise(Unpicklable("no way back")))
     with pytest.raises(RuntimeError, match="^Unpicklable: no way back$"):
         gradient_check_full_loss(0, d_model=8, frames=4)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-@pytest.mark.parametrize("fork", [os.fork, _fork_fails], ids=["forked", "inline"])
-def test_gradient_check_raises_the_fusion_error_first_and_kills_the_tail(monkeypatch, fork):
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
+def test_gradient_check_raises_the_fusion_error_first_and_kills_the_tail(monkeypatch, forked, assert_no_child_left,
+                                                                         fork_fails):
     # inline, the queued tail is dropped unrun
-    monkeypatch.setattr(os, "fork", fork)
+    if not forked:
+        monkeypatch.setattr(os, "fork", fork_fails)
     monkeypatch.setattr(evaluation, "forward_full", _raise(ValueError("fusion failed")))
     monkeypatch.setattr(evaluation, "decode_losses", lambda *_: time.sleep(60))
     start = time.monotonic()
     with pytest.raises(ValueError, match="^fusion failed$"):
         gradient_check_full_loss(0, d_model=8, frames=4)
     assert time.monotonic() - start < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-def test_gradient_check_names_the_status_of_a_tail_that_ends_without_a_result(monkeypatch):
+def test_gradient_check_names_the_status_of_a_tail_that_ends_without_a_result(monkeypatch, assert_no_child_left):
     monkeypatch.setattr(evaluation, "forward_full", _constant_loss)
     monkeypatch.setattr(evaluation, "decode_losses", lambda *_: os._exit(3))
     with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
         gradient_check_full_loss(0, d_model=8, frames=4)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +565,12 @@ def test_export_attention_rows_and_bit_equality(tmp_path):
     assert dump[0]["source_tokens"] == [src_vocab.tokens[t] for t in batch.src[0][:3]]
     assert len(dump[0]["weights"]) == 3  # padding token dropped
     assert len(dump[1]["weights"]) == 4
-    output, _ = forward_full(batch, feats, params, cfg)
+    _, frame_attention, _ = fuse_sources(batch, feats, params, cfg)
     for i, record in enumerate(dump):
         rows = np.array(record["weights"])
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-6)
         keep = batch.src_mask[i]
-        assert rows.tobytes() == output.frame_attention.data[i][keep].tobytes()
+        assert rows.tobytes() == frame_attention.data[i][keep].tobytes()
         np.testing.assert_allclose(record["frame_aggregate"], rows.mean(axis=0), atol=0)
 
 

@@ -73,6 +73,13 @@ def make_features(rng, cfg, b=2):
     )
 
 
+def fused_logits(batch, feats, p, cfg, training=False, rng=None):
+    """The logits ``forward_full`` scores (``fuse_sources`` then ``decode``), and fusion's frame attention and gate."""
+    fused, frame_attention, gate = fuse_sources(batch, feats, p, cfg, training, rng)
+    logits = decode(fused, batch.tgt[:, :-1], batch.tgt_mask[:, :-1], batch.src_mask, p, cfg, training, rng)
+    return logits, frame_attention, gate
+
+
 # ---------------------------------------------------------------------------
 # Config and parameters
 # ---------------------------------------------------------------------------
@@ -147,7 +154,7 @@ def test_leaf_gradients_share_no_memory():
     rng = np.random.default_rng(4)
     batch, feats = make_batch(rng, cfg, b=5, flags=[True, False, True, False, False]), make_features(rng, cfg, b=5)
     with Tape() as tape:
-        _, breakdown = forward_full(batch, feats, params, cfg, training=True, rng=np.random.default_rng(0))
+        breakdown = forward_full(batch, feats, params, cfg, training=True, rng=np.random.default_rng(0))
         tape.backward(breakdown.loss)
     # the key biases are not read, so they get no gradient
     assert all((t.grad is None) == name.endswith(".bk") for name, t in params.items())
@@ -163,14 +170,14 @@ def test_key_biases_leave_the_loss_bit_identical():
     params = ModelParameters.build(cfg, seed=6)
     rng = np.random.default_rng(6)
     batch, feats = make_batch(rng, cfg, b=3, flags=[True, False, False]), make_features(rng, cfg, b=3)
-    base = forward_full(batch, feats, params, cfg)[1].loss.data.tobytes()
+    base = forward_full(batch, feats, params, cfg).loss.data.tobytes()
     biases = [name for name in params.tensors if name.endswith(".bk")]
     assert len(biases) == 6
     for name in biases:
         for i in range(cfg.d_model):
             moved = params.copy()
             moved[name].data[i] += rng.normal()
-            assert forward_full(batch, feats, moved, cfg)[1].loss.data.tobytes() == base, (name, i)
+            assert forward_full(batch, feats, moved, cfg).loss.data.tobytes() == base, (name, i)
 
 
 def test_parameters_deterministic_and_round_trip(tmp_path):
@@ -450,7 +457,7 @@ def test_frame_attention_loss_all_masked_source_sample():
     attention = Tensor(np.full((2, 3, 4), 0.25))
     mask = np.array([[True, True, False], [False, False, False]])
     with pytest.raises(DegenerateSampleError, match="source"):
-        frame_attention_loss(attention, gaussian_target(4, 3.0, 1.0, 1.0, 1.0), mask)
+        frame_attention_loss(attention, gaussian_target(4, 3.0, 1.0, 1.0, 1.0), mask, 2)
 
 
 def test_gaussian_target_single_frame():
@@ -513,7 +520,7 @@ def test_frame_attention_loss_zero_at_target():
     target = gaussian_target(4, 3.0, 1.0, 1.0, 1.0)
     rows = Tensor(np.tile(target, (2, 3, 1)))
     mask = np.ones((2, 3), dtype=bool)
-    assert abs(frame_attention_loss(rows, target, mask).item()) < 1e-14
+    assert abs(frame_attention_loss(rows, target, mask, 2).item()) < 1e-14
 
 
 def test_frame_attention_loss_nonnegative_random():
@@ -523,7 +530,7 @@ def test_frame_attention_loss_nonnegative_random():
         rows = rng.dirichlet(np.ones(5), size=(2, 3))
         mask = rng.random((2, 3)) > 0.3
         mask[:, 0] = True
-        val = frame_attention_loss(Tensor(rows), target, mask).item()
+        val = frame_attention_loss(Tensor(rows), target, mask, 2).item()
         assert val >= -1e-10
 
 
@@ -532,7 +539,7 @@ def test_frame_attention_loss_hand_value():
     target = np.array([0.8, 0.2])
     mask = np.ones((1, 1), dtype=bool)
     expected = 0.5 * math.log(0.5 / 0.8) + 0.5 * math.log(0.5 / 0.2)
-    got = frame_attention_loss(rows, target, mask).item()
+    got = frame_attention_loss(rows, target, mask, 1).item()
     np.testing.assert_allclose(got, expected, atol=1e-12)
     np.testing.assert_allclose(got, 0.223144, atol=1e-6)
 
@@ -540,7 +547,7 @@ def test_frame_attention_loss_hand_value():
 def test_frame_attention_loss_survives_exact_zero_target():
     rows = Tensor(np.array([[[0.5, 0.5]]]))
     target = np.array([1.0, 0.0])
-    val = frame_attention_loss(rows, target, np.ones((1, 1), dtype=bool)).item()
+    val = frame_attention_loss(rows, target, np.ones((1, 1), dtype=bool), 1).item()
     assert np.isfinite(val)
 
 
@@ -548,7 +555,7 @@ def test_total_loss_equal_groups():
     cfg = tiny_config(ambiguity_weight=1.0, frame_loss_weight=0.0)
     losses = Tensor(np.array([3.0, 3.0, 3.0, 3.0]))
     flags = np.array([True, True, False, False])
-    breakdown = total_loss(losses, flags, Tensor(0.0), cfg)
+    breakdown = total_loss(losses, flags, Tensor(0.0), cfg, LossNormalizers.of(flags))
     np.testing.assert_allclose(breakdown.translation_loss, 6.0, atol=1e-15)
 
 
@@ -556,19 +563,21 @@ def test_total_loss_reduces_to_plain_mean():
     cfg = tiny_config(frame_loss_weight=0.0, ambiguity_weight=5.0)
     losses = Tensor(np.array([1.0, 2.0, 6.0]))
     flags = np.zeros(3, dtype=bool)
-    breakdown = total_loss(losses, flags, Tensor(0.0), cfg)
+    norms = LossNormalizers.of(flags)
+    breakdown = total_loss(losses, flags, Tensor(0.0), cfg, norms)
     np.testing.assert_allclose(breakdown.total, 3.0, atol=1e-15)
-    assert (breakdown.ambiguous_count, breakdown.unambiguous_count) == (0, 3)
+    assert (norms.ambiguous, norms.unambiguous) == (0, 3)
 
 
 def test_total_loss_hand_example():
     cfg = tiny_config(ambiguity_weight=2.0, frame_loss_weight=0.5)
     losses = Tensor(np.array([1.0, 3.0]))
     flags = np.array([True, False])
-    breakdown = total_loss(losses, flags, Tensor(0.4), cfg)
+    norms = LossNormalizers.of(flags)
+    breakdown = total_loss(losses, flags, Tensor(0.4), cfg, norms)
     np.testing.assert_allclose(breakdown.total, 2.0 * 1.0 + 3.0 + 0.5 * 0.4, atol=1e-12)
     assert breakdown.total == pytest.approx(5.2, abs=1e-12)
-    assert (breakdown.ambiguous_count, breakdown.unambiguous_count) == (1, 1)
+    assert (norms.ambiguous, norms.unambiguous) == (1, 1)
 
 
 def test_total_loss_doubling_weight_doubles_flagged_group():
@@ -576,8 +585,8 @@ def test_total_loss_doubling_weight_doubles_flagged_group():
     flags = np.array([True, False, True])
     base = tiny_config(ambiguity_weight=1.5, frame_loss_weight=0.0)
     doubled = tiny_config(ambiguity_weight=3.0, frame_loss_weight=0.0)
-    lo = total_loss(losses, flags, Tensor(0.0), base).translation_loss
-    hi = total_loss(losses, flags, Tensor(0.0), doubled).translation_loss
+    lo = total_loss(losses, flags, Tensor(0.0), base, LossNormalizers.of(flags)).translation_loss
+    hi = total_loss(losses, flags, Tensor(0.0), doubled, LossNormalizers.of(flags)).translation_loss
     unflagged_mean = 2.0
     np.testing.assert_allclose(hi - unflagged_mean, 2.0 * (lo - unflagged_mean), atol=1e-12)
 
@@ -586,28 +595,40 @@ def test_total_loss_empty_group_contributes_zero():
     cfg = tiny_config(ambiguity_weight=9.0, frame_loss_weight=0.0)
     losses = Tensor(np.array([2.0, 4.0]))
     flags = np.array([True, True])
-    breakdown = total_loss(losses, flags, Tensor(0.0), cfg)
+    breakdown = total_loss(losses, flags, Tensor(0.0), cfg, LossNormalizers.of(flags))
     np.testing.assert_allclose(breakdown.total, 9.0 * 3.0, atol=1e-12)
 
 
-def test_losses_of_row_parts_sum_to_the_batch_loss_with_the_batch_normalizers():
-    cfg = tiny_config(ambiguity_weight=2.0, frame_loss_weight=0.5)
-    rng = np.random.default_rng(3)
-    losses, flags = rng.uniform(size=5), np.array([True, False, False, True, False])
-    attention = rng.dirichlet(np.ones(4), size=(5, 3))
-    mask = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 1, 1], [1, 0, 0]], dtype=bool)
-    target = gaussian_target(4, 3.0, 1.0, 1.0, 1.0)
+def test_a_batch_counts_its_own_flags_and_its_rows_keep_the_batch_counts():
+    batch = make_batch(np.random.default_rng(0), tiny_config(), b=5, flags=[True, False, False, True, False])
+    assert batch.norms == LossNormalizers(rows=5, ambiguous=2, unambiguous=3)
+    part = batch.rows(slice(3, None))
+    assert part.size == 2 and part.norms == batch.norms
+    assert part.rows(slice(1)).norms == batch.norms
+    rebuilt = TextBatch(part.src, part.src_mask, part.tgt, part.tgt_mask, part.flags)
+    assert rebuilt.norms == LossNormalizers(rows=2, ambiguous=1, unambiguous=1)
+    with pytest.raises(TypeError, match="norms"):
+        TextBatch(part.src, part.src_mask, part.tgt, part.tgt_mask, part.flags, norms=batch.norms)
 
-    def breakdown(rows, norms=None):
-        frame = frame_attention_loss(Tensor(attention[rows]), target, mask[rows], norms)
-        return total_loss(Tensor(losses[rows]), flags[rows], frame, cfg, norms)
+
+def test_losses_of_row_parts_sum_to_the_batch_loss_with_the_batch_normalizers():
+    cfg = tiny_config(ambiguity_weight=2.0, frame_loss_weight=0.5, frames_per_clip=4)
+    p = ModelParameters.build(cfg, seed=3)
+    rng = np.random.default_rng(3)
+    batch = make_batch(rng, cfg, b=5, flags=[True, False, False, True, False])
+    batch.src_mask[:] = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1], [1, 1, 1], [1, 0, 0]], dtype=bool)
+    batch.tgt_mask[1, -1] = False
+    fused = rng.normal(size=(5, 3, cfg.d_model))
+    attention = rng.dirichlet(np.ones(4), size=(5, 3))
+    feats = make_features(rng, cfg, b=5)
+
+    def breakdown(rows):
+        return decode_losses(Tensor(fused[rows]), Tensor(attention[rows]), batch.rows(rows), feats, p, cfg)
 
     whole = breakdown(slice(None))
-    norms = LossNormalizers.of(flags)
-    parts = [breakdown(slice(None, 2), norms), breakdown(slice(2, None), norms)]
+    parts = [breakdown(slice(None, 2)), breakdown(slice(2, None))]
     for key in ("translation_loss", "frame_loss", "total"):
         assert sum(getattr(part, key) for part in parts) == pytest.approx(getattr(whole, key), rel=1e-15)
-    assert all((part.ambiguous_count, part.unambiguous_count) == (2, 3) for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +642,10 @@ def test_forward_full_eval_deterministic():
     rng = np.random.default_rng(9)
     batch = make_batch(rng, cfg)
     feats = make_features(rng, cfg)
-    out1, b1 = forward_full(batch, feats, p, cfg, training=False)
-    out2, b2 = forward_full(batch, feats, p, cfg, training=False)
-    np.testing.assert_array_equal(out1.logits.data, out2.logits.data)
+    b1 = forward_full(batch, feats, p, cfg, training=False)
+    b2 = forward_full(batch, feats, p, cfg, training=False)
+    np.testing.assert_array_equal(fused_logits(batch, feats, p, cfg)[0].data,
+                                  fused_logits(batch, feats, p, cfg)[0].data)
     assert b1.total == b2.total
 
 
@@ -635,9 +657,10 @@ def test_eval_mode_ignores_dropout_rate():
     p = ModelParameters.build(cfg_dry, seed=7)
     batch = make_batch(rng, cfg_dry)
     feats = make_features(rng, cfg_dry)
-    out_dry, b_dry = forward_full(batch, feats, p, cfg_dry, training=False)
-    out_wet, b_wet = forward_full(batch, feats, p, cfg_wet, training=False)
-    np.testing.assert_array_equal(out_dry.logits.data, out_wet.logits.data)
+    b_dry = forward_full(batch, feats, p, cfg_dry, training=False)
+    b_wet = forward_full(batch, feats, p, cfg_wet, training=False)
+    np.testing.assert_array_equal(fused_logits(batch, feats, p, cfg_dry)[0].data,
+                                  fused_logits(batch, feats, p, cfg_wet)[0].data)
     assert b_dry.total == b_wet.total
 
 
@@ -647,10 +670,11 @@ def test_forward_full_invariants():
     rng = np.random.default_rng(10)
     batch = make_batch(rng, cfg, flags=[True, False])
     feats = make_features(rng, cfg)
-    out, breakdown = forward_full(batch, feats, p, cfg)
-    np.testing.assert_allclose(out.frame_attention.data.sum(-1), 1.0, atol=1e-9)
-    assert (out.gate.data > 0).all() and (out.gate.data < 1).all()
-    assert breakdown.ambiguous_count + breakdown.unambiguous_count == batch.size
+    breakdown = forward_full(batch, feats, p, cfg)
+    _, frame_attention, gate = fused_logits(batch, feats, p, cfg)
+    np.testing.assert_allclose(frame_attention.data.sum(-1), 1.0, atol=1e-9)
+    assert (gate.data > 0).all() and (gate.data < 1).all()
+    assert batch.norms.ambiguous + batch.norms.unambiguous == batch.size
     np.testing.assert_allclose(
         breakdown.total,
         breakdown.translation_loss + cfg.frame_loss_weight * breakdown.frame_loss,
@@ -664,12 +688,12 @@ def test_forward_full_ablation_identities():
     p = ModelParameters.build(cfg_plain, seed=3)
     batch = make_batch(rng, cfg_plain, flags=[False, False])
     feats = make_features(rng, cfg_plain)
-    _, plain = forward_full(batch, feats, p, cfg_plain)
+    plain = forward_full(batch, feats, p, cfg_plain)
     # frame loss weight 0 drops the frame term from the total
     np.testing.assert_allclose(plain.total, plain.translation_loss, atol=1e-12)
 
     cfg_gamma = tiny_config(frame_loss_weight=0.7, ambiguity_weight=1.0)
-    _, with_gamma = forward_full(batch, feats, p, cfg_gamma)
+    with_gamma = forward_full(batch, feats, p, cfg_gamma)
     np.testing.assert_allclose(
         with_gamma.total,
         with_gamma.translation_loss + 0.7 * with_gamma.frame_loss,
@@ -685,13 +709,10 @@ def test_forward_full_is_fuse_sources_then_decode_losses(training):
     rng = np.random.default_rng(15)
     batch = make_batch(rng, cfg, flags=[True, False])
     feats = make_features(rng, cfg)
-    out, whole = forward_full(batch, feats, p, cfg, training, np.random.Generator(np.random.Philox(2)))
+    whole = forward_full(batch, feats, p, cfg, training, np.random.Generator(np.random.Philox(2)))
     dropout_rng = np.random.Generator(np.random.Philox(2))
-    fused, frame_attention, gate = fuse_sources(batch, feats, p, cfg, training, dropout_rng)
-    logits, split = decode_losses(fused, frame_attention, batch, feats, p, cfg, training, dropout_rng)
-    assert logits.data.tobytes() == out.logits.data.tobytes()
-    assert frame_attention.data.tobytes() == out.frame_attention.data.tobytes()
-    assert gate.data.tobytes() == out.gate.data.tobytes()
+    fused, frame_attention, _ = fuse_sources(batch, feats, p, cfg, training, dropout_rng)
+    split = decode_losses(fused, frame_attention, batch, feats, p, cfg, training, dropout_rng)
     assert split.loss.data.tobytes() == whole.loss.data.tobytes()
     assert (split.total, split.translation_loss, split.frame_loss) == (
         whole.total, whole.translation_loss, whole.frame_loss)
@@ -705,8 +726,7 @@ def test_forward_full_gradients_match_finite_differences():
     feats = make_features(rng, cfg)
 
     def fn(params):
-        _, breakdown = forward_full(batch, feats, ModelParameters(params), cfg)
-        return breakdown.loss
+        return forward_full(batch, feats, ModelParameters(params), cfg).loss
 
     err = check_gradients(fn, p.tensors)
     assert err < 1e-3, f"max relative error {err}"
@@ -734,8 +754,9 @@ def test_forward_full_train_mode_needs_rng():
     feats = make_features(rng, cfg)
     with pytest.raises(ValueError, match="rng"):
         forward_full(batch, feats, p, cfg, training=True)
-    out, _ = forward_full(batch, feats, p, cfg, training=True, rng=np.random.Generator(np.random.Philox(0)))
-    assert out.logits.data.shape[0] == 2
+    forward_full(batch, feats, p, cfg, training=True, rng=np.random.Generator(np.random.Philox(0)))
+    logits, _, _ = fused_logits(batch, feats, p, cfg, training=True, rng=np.random.Generator(np.random.Philox(0)))
+    assert logits.data.shape[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -851,9 +872,10 @@ def test_model_matches_straight_line_reimplementation():
         p = ModelParameters.build(cfg, seed=seed)
         batch = make_batch(rng, cfg, b=2, s=3, t=4, flags=rng.random(2) > 0.5)
         feats = make_features(rng, cfg)
-        out, breakdown = forward_full(batch, feats, p, cfg)
+        breakdown = forward_full(batch, feats, p, cfg)
+        ours, ours_attention, _ = fused_logits(batch, feats, p, cfg)
         w = {name: t.data for name, t in p.items()}
         logits, frame_attention, total = straight_line_forward(batch, feats, w, cfg)
-        np.testing.assert_allclose(out.logits.data, logits, atol=1e-10)
-        np.testing.assert_allclose(out.frame_attention.data, frame_attention, atol=1e-10)
+        np.testing.assert_allclose(ours.data, logits, atol=1e-10)
+        np.testing.assert_allclose(ours_attention.data, frame_attention, atol=1e-10)
         np.testing.assert_allclose(breakdown.total, total, atol=1e-10)

@@ -367,17 +367,12 @@ def test_unsplit_training_is_the_plain_loop():
     state, rng, text = AdamState(params), np.random.Generator(np.random.Philox(4)), batches[0].text
     for step in range(1, 4):
         with Tape() as tape:
-            _, breakdown = forward_full(text, VideoFeatureBatch.stack(batches[0].video_ids, features), params,
-                                        cfg, training=True, rng=rng)
+            breakdown = forward_full(text, VideoFeatureBatch.stack(batches[0].video_ids, features), params,
+                                     cfg, training=True, rng=rng)
             tape.backward(breakdown.loss)
         assert result.metrics[2 * step - 2]["train_loss"] == breakdown.total
         adam_step(params, state, lr_at_step(step, tc.schedule), tc.clip_norm)
     assert live == [t.data.tobytes() for _, t in params.items()]
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _counting_forks(monkeypatch):
@@ -394,12 +389,8 @@ def _counting_forks(monkeypatch):
     return forks
 
 
-def _fork_fails():
-    raise OSError("fork refused")
-
-
 @pytest.mark.parametrize("blas", ["1", None], ids=["forked", "inline"])
-def test_split_step_equals_the_unsplit_step(monkeypatch, blas):
+def test_split_step_equals_the_unsplit_step(monkeypatch, blas, assert_no_child_left):
     _blas_threads(monkeypatch, blas)
     forks = _counting_forks(monkeypatch)
     cfg, (batch,), features = _wide_setup()
@@ -417,10 +408,8 @@ def test_split_step_equals_the_unsplit_step(monkeypatch, blas):
         total, translation, frame = training._step_backward(batch, features, params, cfg, rngs[0],
                                                             functools.partial(start, 0))
     assert len(forks) == (1 if blas else 0)
-    _assert_no_child_left()
-    assert total == pytest.approx(whole.total, rel=1e-14)
-    assert translation == pytest.approx(whole.translation_loss, rel=1e-14)
-    assert frame == pytest.approx(whole.frame_loss, rel=1e-14)
+    assert_no_child_left()
+    assert (total, translation, frame) == pytest.approx(whole, rel=1e-14)
     for name, t in params.items():
         if grads[name] is None:
             assert t.grad is None, name
@@ -428,7 +417,7 @@ def test_split_step_equals_the_unsplit_step(monkeypatch, blas):
             assert np.abs(t.grad - grads[name]).max() <= 1e-12 * np.abs(grads[name]).max(), name
 
 
-def test_split_training_runs_bit_identical(monkeypatch):
+def test_split_training_runs_bit_identical(monkeypatch, assert_no_child_left, fork_fails):
     # the BLAS setting and os.fork only say whether the second half runs in a worker process or after the first
     cfg, batches, features = _wide_setup(rows=2 * SPLIT_MIN_ROWS, dropout=0.1)
     tc = TrainConfig(max_steps=3, seed=2, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
@@ -436,7 +425,7 @@ def test_split_training_runs_bit_identical(monkeypatch):
     _blas_threads(monkeypatch, "1")
     results = [train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc)]
     assert len(forks) == 1  # one worker for the whole call, reaped before it returns
-    _assert_no_child_left()
+    assert_no_child_left()
     for threads in (None, "2"):  # the halves one after the other in this process
         _blas_threads(monkeypatch, threads)
         results.append(train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc))
@@ -447,7 +436,7 @@ def test_split_training_runs_bit_identical(monkeypatch):
         unsplit = train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc)
     assert unsplit.metrics[0]["train_loss"] != results[0].metrics[0]["train_loss"]
     assert len(forks) == 1
-    monkeypatch.setattr(os, "fork", _fork_fails)
+    monkeypatch.setattr(os, "fork", fork_fails)
     results.append(train(ModelParameters.build(cfg, seed=2), cfg, batches, batches, features, tc))
     for result in results[1:]:
         for name, t in results[0].params.items():
@@ -456,7 +445,7 @@ def test_split_training_runs_bit_identical(monkeypatch):
 
 
 @pytest.mark.parametrize("blas", ["1", None], ids=["forked", "inline"])
-def test_split_step_failure_names_the_primitive_and_reaps_the_worker(monkeypatch, blas):
+def test_split_step_failure_names_the_primitive_and_reaps_the_worker(monkeypatch, blas, assert_no_child_left):
     # a warning the worker raised would come back as its error: the repository's test settings make it one
     _blas_threads(monkeypatch, blas)
     forks = _counting_forks(monkeypatch)
@@ -485,31 +474,37 @@ def test_split_step_failure_names_the_primitive_and_reaps_the_worker(monkeypatch
         assert result.diverged and result.steps == 1
         assert result.diverged_reason == "attention_weights: non-finite values in output"
         assert len(halves) == (0 if blas else inline_halves)
-        _assert_no_child_left()
+        assert_no_child_left()
     halves.clear()
     first = dict(features)
     first.pop(batch.video_ids[0])
     with pytest.raises(KeyError, match=repr(batch.video_ids[0])):
         train(ModelParameters.build(cfg, seed=0), cfg, batches, batches, first, tc)
     assert halves == []
-    _assert_no_child_left()
+    assert_no_child_left()
     assert len(forks) == (3 if blas else 0)
 
 
-def test_a_worker_that_ends_without_a_result_is_named_and_reaped(monkeypatch):
+def test_a_worker_that_ends_without_a_result_is_named_and_reaped(monkeypatch, assert_no_child_left):
     _blas_threads(monkeypatch, "1")
     cfg, batches, features = _wide_setup(rows=2 * SPLIT_MIN_ROWS)
     monkeypatch.setattr(training, "_second_half", lambda *_: os._exit(3))
     tc = TrainConfig(max_steps=2, seed=0, schedule=Schedule(warmup_steps=10, lr_peak=1e-3))
     with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
         train(ModelParameters.build(cfg, seed=0), cfg, batches, batches, features, tc)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_train_requires_validation_batches():
     cfg, batches, features = _tiny_setup()
     with pytest.raises(ValueError, match="validation"):
         train(ModelParameters.build(cfg, seed=0), cfg, batches, [], features, TrainConfig())
+
+
+def test_train_requires_training_batches():
+    cfg, batches, features = _tiny_setup()
+    with pytest.raises(ValueError, match="^training set must be non-empty$"):
+        train(ModelParameters.build(cfg, seed=0), cfg, [], batches, features, TrainConfig())
 
 
 # ---------------------------------------------------------------------------
